@@ -17,7 +17,7 @@ is exact at gamma = 1 by block inversion, for any split index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -25,10 +25,12 @@ import numpy as np
 from ._linalg import DEFAULT_RCOND, checked_solve
 from .covmat import CovarianceMatrix, cov_values
 from .errors import InputError, NumericalError, SingularComplement, ZeroVariance
-from .portfolio import FITNESS_KINDS, ScaledSolution, fitness, min_var_unit
+from .portfolio import FITNESS_KINDS, ScaledSolution, budget, fitness, min_var_unit
 from .schur import (
     DEFAULT_EPS_B,
     DEFAULT_EPS_PD,
+    HEAD,
+    TAIL,
     GammaPair,
     augment_inter,
     augment_intra,
@@ -86,29 +88,12 @@ class AllocationConfig:
             self.gammas = GammaPair(0.0, 0.0)
 
     def with_gamma(self, gamma: float, gamma_b: float | None = None) -> "AllocationConfig":
-        return AllocationConfig(
-            gammas=GammaPair(gamma, gamma_b),
-            mode=self.mode, fitness=self.fitness, terminal=self.terminal,
-            terminal_size=self.terminal_size, seriation=self.seriation,
-            adaptive_cap=self.adaptive_cap, eps_pd=self.eps_pd, eps_b=self.eps_b,
-            rcond=self.rcond, shrink_grid_step=self.shrink_grid_step,
-        )
+        return replace(self, gammas=GammaPair(gamma, gamma_b))
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gammas.gamma_c,
-            "gamma_b": self.gammas.gamma_b,
-            "mode": self.mode,
-            "fitness": self.fitness,
-            "terminal": self.terminal,
-            "terminal_size": self.terminal_size,
-            "seriation": self.seriation,
-            "adaptive_cap": self.adaptive_cap,
-            "eps_pd": self.eps_pd,
-            "eps_b": self.eps_b,
-            "rcond": self.rcond,
-            "shrink_grid_step": self.shrink_grid_step,
-        }
+        out = {"gamma": self.gammas.gamma_c, "gamma_b": self.gammas.gamma_b}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "gammas")
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationConfig":
@@ -163,59 +148,32 @@ def _terminal_weights(block: np.ndarray, config: AllocationConfig) -> np.ndarray
     raise InputError(f"unknown terminal {config.terminal!r}")
 
 
-def _split_matrices(sp, gammas: GammaPair, config: AllocationConfig):
-    """Augmented blocks and b-vectors for one split at given effective gammas."""
-    if gammas.gamma_c == 0.0 and gammas.gamma_b == 0.0:
-        # Raw-block path: identical arithmetic to HRP, no solves involved.
-        a, d = sp.a.copy(), sp.d.copy()
-        return {
-            "intra": (a, d),
-            "inter": (a, d),
-            "b": (np.ones(sp.k), np.ones(sp.parent.shape[0] - sp.k)),
-        }
-    intra = tuple(
-        augment_intra(sp, side, gammas, eps_b=config.eps_b, rcond=config.rcond)
-        for side in ("A", "D")
-    )
-    inter = tuple(
-        augment_inter(sp, side, gammas, eps_b=config.eps_b, rcond=config.rcond)
-        for side in ("A", "D")
-    )
-    bs = tuple(
-        b_vector(sp, side, gammas.gamma_b, rcond=config.rcond)
-        for side in ("A", "D")
-    )
-    return {"intra": intra, "inter": inter, "b": bs}
+def _couple(block: np.ndarray, k: int, config: AllocationConfig):
+    """Effective gammas, retry counts and the (intra, inter, b) pairs of one split.
 
-
-def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
-             diagnostics: list[SplitDiagnostics]) -> np.ndarray:
-    n = block.shape[0]
-    if n <= config.terminal_size:
-        return _terminal_weights(block, config)
-    k = math.ceil(n / 2)
+    The split, with its solved products, is dropped on return, before the
+    children recurse.
+    """
     sp = split(block, k)
-
-    user = config.gammas
-    if user.gamma_c == 0.0 and user.gamma_b == 0.0:
-        effective = GammaPair(0.0, 0.0)
-    elif config.adaptive_cap:
-        cap = min(
-            max_feasible_gamma(sp, "A", eps_pd=config.eps_pd, eps_b=config.eps_b,
-                               rcond=config.rcond),
-            max_feasible_gamma(sp, "D", eps_pd=config.eps_pd, eps_b=config.eps_b,
-                               rcond=config.rcond),
-        )
-        effective = user.scaled(cap)
-    else:
-        effective = user
+    effective = config.gammas
+    if config.adaptive_cap and not effective.zero:
+        effective = effective.scaled(min(
+            max_feasible_gamma(sp, side, eps_pd=config.eps_pd, eps_b=config.eps_b,
+                               rcond=config.rcond)
+            for side in (HEAD, TAIL)
+        ))
 
     halvings = 0
     gamma_zeroed = False
     while True:
         try:
-            parts = _split_matrices(sp, effective, config)
-            break
+            intra = tuple(augment_intra(sp, side, effective, eps_b=config.eps_b,
+                                        rcond=config.rcond) for side in (HEAD, TAIL))
+            inter = tuple(augment_inter(sp, side, effective, eps_b=config.eps_b,
+                                        rcond=config.rcond) for side in (HEAD, TAIL))
+            bs = tuple(b_vector(sp, side, effective.gamma_b, rcond=config.rcond)
+                       for side in (HEAD, TAIL))
+            return effective, halvings, gamma_zeroed, (intra, inter, bs)
         except NumericalError:
             if halvings < MAX_GAMMA_HALVINGS:
                 halvings += 1
@@ -226,9 +184,15 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
             else:
                 raise
 
-    a_intra, d_intra = parts["intra"]
-    a_inter, d_inter = parts["inter"]
-    b_head, b_tail = parts["b"]
+
+def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
+             diagnostics: list[SplitDiagnostics]) -> np.ndarray:
+    n = block.shape[0]
+    if n <= config.terminal_size:
+        return _terminal_weights(block, config)
+    k = math.ceil(n / 2)
+    effective, halvings, gamma_zeroed, parts = _couple(block, k, config)
+    (a_intra, d_intra), (a_inter, d_inter), (b_head, b_tail) = parts
 
     w_head = _recurse(a_intra, offset, config, diagnostics)
     w_tail = _recurse(d_intra, offset + k, config, diagnostics)
@@ -239,9 +203,7 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
                       shrink_grid_step=config.shrink_grid_step, rcond=config.rcond)
 
     head, tail = w_head, w_tail
-    if config.mode == "schur_debiased" and not (
-        effective.gamma_c == 0.0 and effective.gamma_b == 0.0
-    ):
+    if config.mode == "schur_debiased":
         head = head / b_head
         tail = tail / b_tail
 
@@ -316,7 +278,5 @@ def allocate_exact(cov, b=None, gammas: GammaPair | float = 1.0, m: int = 1,
         ])
 
     x = recurse(values, b)
-    denom = float(b @ x)
-    if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
-        raise NumericalError("b' x vanishes; cannot normalize exact solution")
+    denom = budget(b, x, rcond, NumericalError, "b' x vanishes; cannot normalize exact solution")
     return ScaledSolution(values=x, fitness=1.0 / denom, weights=x / denom)

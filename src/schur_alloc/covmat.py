@@ -65,10 +65,6 @@ class ReturnsPanel:
             raise DimensionMismatch("label count does not match column count")
 
     @property
-    def periods(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n(self) -> int:
         return self.values.shape[1]
 
@@ -96,7 +92,9 @@ def empirical_covariance(samples: ReturnsPanel | np.ndarray) -> CovarianceMatrix
     if t < 2:
         raise TooFewSamples(f"need at least 2 periods, got {t}")
     centered = values - values.mean(axis=0)
-    cov = centered.T @ centered / (t - 1)
+    cov = centered.T @ centered
+    del centered
+    cov /= t - 1
     cov = (cov + cov.T) / 2.0
     return CovarianceMatrix(cov, labels)
 

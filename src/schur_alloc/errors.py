@@ -94,9 +94,5 @@ class DegenerateBVector(NumericalError):
     pass
 
 
-class SingularAtGridPoint(NumericalError):
-    pass
-
-
 class NoFeasibleXi(NumericalError):
     pass

@@ -12,6 +12,7 @@ from .errors import (
     DegenerateConstraint,
     DimensionMismatch,
     InputError,
+    NumericalError,
     SingularCovariance,
     SingularQ,
     ZeroNormalizer,
@@ -45,15 +46,21 @@ class ScaledSolution:
     weights: np.ndarray
 
 
+def budget(b: np.ndarray, x: np.ndarray, rcond: float,
+           exc: type[NumericalError], message: str) -> float:
+    """b' x, raising `exc` when it vanishes against the size of x."""
+    denom = float(b @ x)
+    if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
+        raise exc(message)
+    return denom
+
+
 def min_var_unit(cov, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Minimum-variance weights with a unit budget constraint: Sigma^-1 1 normalized."""
     values = cov_values(cov)
     ones = np.ones(values.shape[0])
     x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
-    denom = float(ones @ x)
-    if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
-        raise ZeroNormalizer("1' Sigma^-1 1 vanishes; weights undefined")
-    return x / denom
+    return x / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes; weights undefined")
 
 
 def min_var_general(q, b, rcond: float = DEFAULT_RCOND) -> ScaledSolution:
@@ -63,9 +70,8 @@ def min_var_general(q, b, rcond: float = DEFAULT_RCOND) -> ScaledSolution:
     if b.shape != (q.shape[0],):
         raise DimensionMismatch(f"b has shape {b.shape} for a {q.shape} matrix")
     x = checked_solve(q, b, rcond=rcond, exc=SingularQ)
-    denom = float(b @ x)
-    if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
-        raise DegenerateConstraint("b' Q^-1 b vanishes; constrained portfolio undefined")
+    denom = budget(b, x, rcond, DegenerateConstraint,
+                   "b' Q^-1 b vanishes; constrained portfolio undefined")
     return ScaledSolution(values=x, fitness=1.0 / denom, weights=x / denom)
 
 
@@ -88,10 +94,7 @@ def fitness(cov, kind: str, child_weights=None,
     if kind == "minvar_variance":
         ones = np.ones(values.shape[0])
         x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
-        denom = float(ones @ x)
-        if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
-            raise ZeroNormalizer("1' Sigma^-1 1 vanishes")
-        return 1.0 / denom
+        return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
         from .shrinkage import weak_shrink
 

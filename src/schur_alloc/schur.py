@@ -1,15 +1,20 @@
 """Block splitting and Schur-complement covariance augmentations.
 
 For a split Sigma = [[A, B], [C, D]] with C = B' the blended complement is
-A^c(gamma) = A - gamma * B D^-1 C and the inherited constraint vector is
-b_A(gamma) = 1 - gamma * B D^-1 1. The intra-group matrix A'' divides the
+A^c(gamma) = A - gamma * S and the inherited constraint vector is
+b_A(gamma) = 1 - gamma * t, with S = B D^-1 C and t = B D^-1 1 (and the
+mirror images for the D side). S and t do not depend on gamma: each split
+side solves them once, through the conditioning guard, and keeps them on
+its BlockSplit. Every gamma-dependent quantity -- the complement, the
+b-vector, each step of the gamma-cap bisection and both augmentations --
+is then affine in S and t. The intra-group matrix A'' divides the
 complement elementwise by b_A b_A', the inter-group matrix A' multiplies
 the complement's inverse elementwise by b_A b_A' and inverts back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,16 +52,25 @@ class GammaPair:
             if not (0.0 <= value <= 1.0):
                 raise InputError(f"{name}={value} outside [0, 1]")
 
+    @property
+    def zero(self) -> bool:
+        return self.gamma_c == 0.0 and self.gamma_b == 0.0
+
     def scaled(self, factor: float) -> "GammaPair":
         return GammaPair(self.gamma_c * factor, self.gamma_b * factor)
 
 
 @dataclass
 class BlockSplit:
-    """Views of a covariance matrix split at index k."""
+    """Views of a covariance matrix split at index k.
+
+    The gamma-independent products S and t of each side are solved on first
+    use and kept, keyed by (side, product, rcond), for the life of the split.
+    """
 
     parent: np.ndarray
     k: int
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def a(self) -> np.ndarray:
@@ -92,14 +106,24 @@ def _own_and_other(sp: BlockSplit, side: str):
     raise InputError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
 
 
+def _product(sp: BlockSplit, side: str, name: str, rcond: float) -> np.ndarray:
+    """S = cross @ other^-1 @ cross' or t = cross @ other^-1 @ 1, solved once."""
+    key = (side, name, rcond)
+    if key not in sp._solved:
+        _, cross, other = _own_and_other(sp, side)
+        rhs = cross.T if name == "S" else np.ones(other.shape[0])
+        solved = checked_solve(other, rhs, rcond=rcond, exc=SingularComplementBlock)
+        sp._solved[key] = cross @ solved
+    return sp._solved[key]
+
+
 def schur_complement(sp: BlockSplit, side: str, gamma_c: float,
                      rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Blended complement: own - gamma_c * cross @ other^-1 @ cross'."""
-    own, cross, other = _own_and_other(sp, side)
+    own, _, _ = _own_and_other(sp, side)
     if gamma_c == 0.0:
         return own.copy()
-    solved = checked_solve(other, cross.T, rcond=rcond, exc=SingularComplementBlock)
-    return symmetrize(own - gamma_c * (cross @ solved))
+    return symmetrize(own - gamma_c * _product(sp, side, "S", rcond))
 
 
 def b_vector(sp: BlockSplit, side: str, gamma_b: float,
@@ -111,13 +135,13 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     a non-default carry propagates an outer constraint through the split.
     """
     own, cross, other = _own_and_other(sp, side)
-    n = sp.parent.shape[0]
     if carry is None:
-        carry = np.ones(n)
-    else:
-        carry = np.asarray(carry, dtype=float)
-        if carry.shape != (n,):
-            raise InputError(f"carry has shape {carry.shape}, expected ({n},)")
+        ones = np.ones(own.shape[0])
+        return ones if gamma_b == 0.0 else ones - gamma_b * _product(sp, side, "t", rcond)
+    n = sp.parent.shape[0]
+    carry = np.asarray(carry, dtype=float)
+    if carry.shape != (n,):
+        raise InputError(f"carry has shape {carry.shape}, expected ({n},)")
     if side == HEAD:
         carry_own, carry_other = carry[: sp.k], carry[sp.k:]
     else:
@@ -128,17 +152,23 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     return carry_own - gamma_b * (cross @ solved)
 
 
+def _blend(sp: BlockSplit, side: str, gammas: GammaPair, eps_b: float,
+           rcond: float, where: str):
+    """Complement and b-vector at `gammas`, rejecting |b| entries below eps_b."""
+    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
+    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
+    if np.abs(b).min() < eps_b:
+        raise DegenerateBVector(f"|b| entry below {eps_b} {where}")
+    return comp, b
+
+
 def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
                   eps_b: float = DEFAULT_EPS_B,
                   rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Intra-group matrix: complement divided elementwise by b b'."""
-    if gammas.gamma_c == 0.0 and gammas.gamma_b == 0.0:
-        own, _, _ = _own_and_other(sp, side)
-        return own.copy()
-    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
-    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
-    if np.abs(b).min() < eps_b:
-        raise DegenerateBVector(f"|b| entry below {eps_b} before pointwise division")
+    if gammas.zero:
+        return _own_and_other(sp, side)[0].copy()
+    comp, b = _blend(sp, side, gammas, eps_b, rcond, "before pointwise division")
     return comp / np.outer(b, b)
 
 
@@ -146,13 +176,9 @@ def augment_inter(sp: BlockSplit, side: str, gammas: GammaPair,
                   eps_b: float = DEFAULT_EPS_B,
                   rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Inter-group matrix: (complement^-1 elementwise* b b')^-1."""
-    if gammas.gamma_c == 0.0 and gammas.gamma_b == 0.0:
-        own, _, _ = _own_and_other(sp, side)
-        return own.copy()
-    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
-    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
-    if np.abs(b).min() < eps_b:
-        raise DegenerateBVector(f"|b| entry below {eps_b} in precision-domain product")
+    if gammas.zero:
+        return _own_and_other(sp, side)[0].copy()
+    comp, b = _blend(sp, side, gammas, eps_b, rcond, "in precision-domain product")
     size = comp.shape[0]
     precision = checked_solve(comp, np.eye(size), rcond=rcond, exc=SingularComplement)
     product = symmetrize(precision * np.outer(b, b))
@@ -169,19 +195,20 @@ def max_feasible_gamma(sp: BlockSplit, side: str,
                        max_iter: int = 40) -> float:
     """Largest gamma in [0, 1] keeping the complement PD and b entries >= eps_b.
 
-    Bisection; the allocator multiplies the user's gamma by this cap.
-    Returns 0.0 when no positive gamma is feasible.
+    Bisection over the affine complement and b-vector; the allocator
+    multiplies the user's gamma by this cap. Returns 0.0 when no positive
+    gamma is feasible, at once when the complementary block is singular.
     """
+    try:
+        _product(sp, side, "t", rcond)
+    except SingularComplementBlock:
+        return 0.0
 
     def feasible(gamma: float) -> bool:
+        if b_vector(sp, side, gamma, rcond=rcond).min() < eps_b:
+            return False
         try:
             comp = schur_complement(sp, side, gamma, rcond=rcond)
-            b = b_vector(sp, side, gamma, rcond=rcond)
-        except SingularComplementBlock:
-            return False
-        if b.min() < eps_b:
-            return False
-        try:
             return bool(np.linalg.eigvalsh(comp).min() > eps_pd)
         except np.linalg.LinAlgError:
             return False

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,20 @@ class TestConfig:
                                terminal_size=3, seriation="identity")
         back = AllocationConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+        tuned = AllocationConfig(gammas=GammaPair(0.5, 0.25), mode="schur_literal",
+                                 fitness="minvar_variance", terminal="weak_minvar",
+                                 terminal_size=3, seriation="identity", adaptive_cap=False,
+                                 eps_pd=1e-7, eps_b=1e-5, rcond=1e-11, shrink_grid_step=0.01)
+        moved = tuned.with_gamma(0.9)
+        assert moved.gammas == GammaPair(0.9)
+        assert moved == AllocationConfig(**{**vars(tuned), "gammas": GammaPair(0.9)})
+        assert json.dumps(tuned.to_dict()) == (
+            '{"gamma": 0.5, "gamma_b": 0.25, "mode": "schur_literal", '
+            '"fitness": "minvar_variance", "terminal": "weak_minvar", "terminal_size": 3, '
+            '"seriation": "identity", "adaptive_cap": false, "eps_pd": 1e-07, '
+            '"eps_b": 1e-05, "rcond": 1e-11, "shrink_grid_step": 0.01}'
+        )
 
 
 class TestAllocateGoldenVectors:

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from schur_alloc import (
+    allocate_exact,
     fitness,
     min_var_general,
     min_var_unit,
     portfolio_variance,
 )
 from schur_alloc.errors import (
+    DegenerateConstraint,
     DimensionMismatch,
     InputError,
+    NumericalError,
     SingularCovariance,
+    ZeroNormalizer,
 )
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
 
@@ -148,3 +152,16 @@ class TestFitness:
         assert fitness(c * cov, "diag_sum_squares") == pytest.approx(
             c**2 * fitness(cov, "diag_sum_squares")
         )
+
+
+@pytest.mark.parametrize("solve, expected", [
+    (min_var_unit, ZeroNormalizer),
+    (lambda q: fitness(q, "minvar_variance"), ZeroNormalizer),
+    (lambda q: min_var_general(q, np.ones(2)), DegenerateConstraint),
+    (allocate_exact, NumericalError),
+], ids=["min_var_unit", "fitness", "min_var_general", "allocate_exact"])
+def test_vanishing_budget_raises(solve, expected):
+    # diag(1, -1) is well conditioned, but its solution x = (1, -1) has b'x = 0
+    with pytest.raises(NumericalError) as excinfo:
+        solve(np.diag([1.0, -1.0]))
+    assert excinfo.type is expected

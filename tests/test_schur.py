@@ -7,10 +7,16 @@ from schur_alloc import (
     augment_intra,
     b_vector,
     max_feasible_gamma,
+    schur,
     schur_complement,
     split,
 )
-from schur_alloc.errors import BadIndex, DegenerateBVector, InputError
+from schur_alloc.errors import (
+    BadIndex,
+    DegenerateBVector,
+    InputError,
+    SingularComplementBlock,
+)
 
 from conftest import equicorrelated, random_pd
 
@@ -195,3 +201,43 @@ class TestMaxFeasibleGamma:
             if cap > 0.0:
                 comp = schur_complement(sp, "A", cap)
                 assert np.linalg.eigvalsh(comp).min() > 0.0
+
+
+class TestSolvedOnce:
+    def test_complementary_block_solved_at_most_twice_per_side(self, monkeypatch):
+        # both sides of this split are capped, so the cap bisects on each
+        sp = split(random_pd(np.random.default_rng(3), 7, ridge=0.01), 4)
+        solves = {"A": 0, "D": 0}
+        original = schur.checked_solve
+
+        def counting(matrix, rhs, **kwargs):
+            # the complementary block is a view of the parent; D is 3x3, A is 4x4
+            if np.shares_memory(matrix, sp.parent):
+                solves["A" if matrix.shape[0] == 3 else "D"] += 1
+            return original(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(schur, "checked_solve", counting)
+        caps = [max_feasible_gamma(sp, side) for side in ("A", "D")]
+        assert max(caps) < 1.0
+        gammas = GammaPair(min(caps)).scaled(0.5)
+        for side in ("A", "D"):
+            augment_intra(sp, side, gammas)
+            augment_inter(sp, side, gammas)
+            b_vector(sp, side, gammas.gamma_b)
+        assert solves["A"] <= 2 and solves["D"] <= 2
+
+    def test_singular_complementary_block_caps_at_zero(self, monkeypatch):
+        cov = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        sp = split(cov, 1)
+        original = schur.checked_solve
+        calls = []
+
+        def counting(matrix, rhs, **kwargs):
+            calls.append(matrix.shape)
+            return original(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(schur, "checked_solve", counting)
+        assert max_feasible_gamma(sp, "A") == 0.0
+        assert calls == [(2, 2)]
+        with pytest.raises(SingularComplementBlock):
+            augment_intra(sp, "A", GammaPair(0.5))
