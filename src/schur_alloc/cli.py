@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .allocator import MODES, TERMINALS, AllocationConfig, allocate
 from .covmat import empirical_covariance, read_matrix_csv, read_returns_csv, write_matrix_csv
 from .errors import InputError, NumericalError, SchurAllocError

@@ -17,6 +17,7 @@ from .errors import (
     SingularQ,
     ZeroNormalizer,
 )
+from .shrinkage import weak_shrink
 
 # Inverse fitness measures nu(). Inter-group capital is split 1/nu : 1/nu.
 #   subportfolio_variance  w_child' Sigma w_child for the child's own weights
@@ -96,8 +97,6 @@ def fitness(cov, kind: str, child_weights=None,
         x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
         return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
-        from .shrinkage import weak_shrink
-
         result = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond)
         return portfolio_variance(values, result.weights)
     if kind == "diag_sum_squares":

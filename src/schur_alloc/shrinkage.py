@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import DEFAULT_RCOND
+from ._linalg import DEFAULT_RCOND, symmetrize
 from .covmat import cov_values
-from .errors import AllNonPositive, NoFeasibleXi, XiOutOfRange
+from .errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 
 # Grid resolution for the xi search. 0.001 resolves the reference 4x4
 # example's true minimizer (0.976); a 0.005 grid misses it.
@@ -50,42 +50,36 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     """Grid-search xi in [0, 1]; ties broken toward smaller xi.
 
     At each xi the min-var portfolio of the shrunk matrix is clipped long-only
-    and its variance is judged by the original matrix. Singular or otherwise
-    infeasible grid points are skipped and recorded. The whole grid is solved
-    as one batched linear-algebra call.
+    and its variance is judged by the original matrix. With s = sqrt(diag) and
+    the correlation matrix R = S^-1 Sigma S^-1 = Q diag(lambda) Q', the shrunk
+    matrix is S Q diag(1 - xi + xi * lambda) Q' S, so one eigendecomposition
+    of R solves every grid point. A grid point is skipped and recorded when
+    the spectrum 1 - xi + xi * lambda has min|.| / max|.| below `rcond` (a
+    conditioning test on the correlation form, blind to the variances'
+    scale), or when its portfolio has no usable budget or no positive weight.
     """
     values = cov_values(cov)
     if not (0.0 < grid_step <= 1.0):
         raise XiOutOfRange(f"grid_step={grid_step} outside (0, 1]")
+    variances_diag = np.diag(values)
+    if variances_diag.min() <= 0.0:
+        raise ZeroVariance("weak shrinkage needs strictly positive variances")
     steps = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, steps + 1)
-    n = values.shape[0]
 
-    diag = np.diag(np.diag(values))
-    stack = grid[:, None, None] * values + (1.0 - grid)[:, None, None] * diag
-
-    singular = np.linalg.svd(stack, compute_uv=False)
+    s = np.sqrt(variances_diag)
+    lam, q = np.linalg.eigh(symmetrize(values / np.outer(s, s)))
+    spec = (1.0 - grid)[:, None] + grid[:, None] * lam
+    magnitude = np.abs(spec)
+    valid = magnitude.min(axis=1) >= rcond * magnitude.max(axis=1)
+    u = q.T @ (1.0 / s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rc = singular[:, -1] / singular[:, 0]
-    valid = np.isfinite(rc) & (rc >= rcond)
-
-    x = np.full((len(grid), n), np.nan)
-    if valid.any():
-        try:
-            x[valid] = np.linalg.solve(stack[valid], np.ones(n))
-        except np.linalg.LinAlgError:
-            for idx in np.nonzero(valid)[0]:
-                try:
-                    x[idx] = np.linalg.solve(stack[idx], np.ones(n))
-                except np.linalg.LinAlgError:
-                    valid[idx] = False
-
-    denom = x.sum(axis=1)
-    with np.errstate(invalid="ignore"):
+        x = ((u / spec) @ q.T) / s
+        denom = x.sum(axis=1)
         valid &= np.isfinite(denom) & (
             np.abs(denom) > rcond * np.maximum(1.0, np.abs(x).sum(axis=1))
         )
-    weights = np.where(valid[:, None], x / denom[:, None], np.nan)
+        weights = np.where(valid[:, None], x / denom[:, None], np.nan)
     clipped = np.where(weights > 0.0, weights, 0.0)
     mass = clipped.sum(axis=1)
     valid &= mass > 0.0
@@ -100,9 +94,9 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     xi = float(grid[best])
     return ShrinkageResult(
         xi=xi,
-        shrunk=stack[best],
+        shrunk=grid[best] * values + (1.0 - grid[best]) * np.diag(variances_diag),
         weights=x[best] / denom[best],
         clipped_variance=float(variances[best]),
-        curve=[(float(g), float(v)) for g, v, ok in zip(grid, variances, valid) if ok],
-        skipped=[float(g) for g, ok in zip(grid, valid) if not ok],
+        curve=list(zip(grid[valid].tolist(), variances[valid].tolist())),
+        skipped=grid[~valid].tolist(),
     )

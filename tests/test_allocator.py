@@ -17,7 +17,7 @@ from schur_alloc import (
 from schur_alloc.errors import InputError, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
 
-from conftest import UNSTABLE_4X4, UNSTABLE_MINVAR, equicorrelated, random_pd
+from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
 
 
 def equi3():

@@ -3,7 +3,6 @@ import pytest
 
 from schur_alloc import (
     CovarianceMatrix,
-    ReturnsPanel,
     empirical_covariance,
     is_positive_definite,
     rand_symm_cov,

@@ -1,13 +1,96 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_alloc import long_only_clip, scale_off_diagonal, weak_shrink
-from schur_alloc.errors import AllNonPositive, XiOutOfRange
+from schur_alloc._linalg import DEFAULT_RCOND
+from schur_alloc.covmat import cov_values
+from schur_alloc.errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix
+from schur_alloc.shrinkage import DEFAULT_GRID_STEP, ShrinkageResult
 
 from conftest import UNSTABLE_4X4, random_pd
+
+
+def _reference_weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
+                           rcond: float = DEFAULT_RCOND) -> ShrinkageResult:
+    """Oracle: builds the whole (1-xi) D + xi Sigma stack and solves it directly.
+
+    Grid points are rejected on the singular values of each raw stack matrix.
+    """
+    values = cov_values(cov)
+    steps = int(round(1.0 / grid_step))
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    n = values.shape[0]
+
+    diag = np.diag(np.diag(values))
+    stack = grid[:, None, None] * values + (1.0 - grid)[:, None, None] * diag
+
+    singular = np.linalg.svd(stack, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = singular[:, -1] / singular[:, 0]
+    valid = np.isfinite(rc) & (rc >= rcond)
+
+    x = np.full((len(grid), n), np.nan)
+    if valid.any():
+        try:
+            x[valid] = np.linalg.solve(stack[valid], np.ones(n))
+        except np.linalg.LinAlgError:
+            for idx in np.nonzero(valid)[0]:
+                try:
+                    x[idx] = np.linalg.solve(stack[idx], np.ones(n))
+                except np.linalg.LinAlgError:
+                    valid[idx] = False
+
+    denom = x.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        valid &= np.isfinite(denom) & (
+            np.abs(denom) > rcond * np.maximum(1.0, np.abs(x).sum(axis=1))
+        )
+    weights = np.where(valid[:, None], x / denom[:, None], np.nan)
+    clipped = np.where(weights > 0.0, weights, 0.0)
+    mass = clipped.sum(axis=1)
+    valid &= mass > 0.0
+    with np.errstate(invalid="ignore"):
+        clipped = clipped / mass[:, None]
+    variances = np.einsum("gi,ij,gj->g", clipped, values, clipped)
+
+    if not valid.any():
+        raise NoFeasibleXi("minimum-variance solve failed at every grid point")
+    masked = np.where(valid, variances, np.inf)
+    best = int(np.argmin(masked))
+    return ShrinkageResult(
+        xi=float(grid[best]),
+        shrunk=stack[best],
+        weights=x[best] / denom[best],
+        clipped_variance=float(variances[best]),
+        curve=[(float(g), float(v)) for g, v, ok in zip(grid, variances, valid) if ok],
+        skipped=[float(g) for g, ok in zip(grid, valid) if not ok],
+    )
+
+
+def sample_covariance(rng: np.random.Generator, p: int, t: int) -> np.ndarray:
+    """Sample covariance of t < p Gaussian draws: rank t - 1, singular at xi = 1."""
+    return np.cov(rng.standard_normal((t, p)), rowvar=False)
+
+
+def reference_corpus():
+    rng = np.random.default_rng(20241107)
+    cases = [UNSTABLE_4X4]
+    cases += [random_pd(rng, int(rng.integers(3, 30)), ridge=0.1) for _ in range(40)]
+    for _ in range(40):
+        p = int(rng.integers(5, 40))
+        cases.append(sample_covariance(rng, p, int(rng.integers(2, p))))
+    return cases
+
+
+def rescaled(cov: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """The correlation matrix of `cov` with per-asset volatilities `vol`."""
+    s = np.sqrt(np.diag(cov))
+    return cov / np.outer(s, s) * np.outer(vol, vol)
 
 
 class TestScaleOffDiagonal:
@@ -113,3 +196,54 @@ class TestWeakShrink:
     def test_grid_step_validated(self, unstable_4x4):
         with pytest.raises(XiOutOfRange):
             weak_shrink(unstable_4x4, grid_step=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_variance_rejected(self, bad):
+        with pytest.raises(ZeroVariance):
+            weak_shrink(np.array([[bad, 0.1], [0.1, 1.0]]))
+
+    def test_matches_stacked_reference(self):
+        for cov in reference_corpus():
+            expected = _reference_weak_shrink(cov)
+            result = weak_shrink(cov)
+            assert result.xi == expected.xi
+            assert result.skipped == expected.skipped
+            np.testing.assert_array_equal(result.shrunk, expected.shrunk)
+            scale = np.abs(expected.weights).max()
+            np.testing.assert_allclose(result.weights, expected.weights,
+                                       rtol=0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("decades", [6, 7])
+    def test_ill_scaled_variances_keep_every_grid_point(self, decades):
+        # The correlation form's conditioning ignores the variances' spread
+        # (here 1e-decades..1e+decades); the raw stack's does not.
+        rng = np.random.default_rng(11)
+        n = 8
+        variances = np.logspace(-decades, decades, n)
+        cov = rescaled(random_pd(rng, n, ridge=0.1), np.sqrt(variances))
+        result = weak_shrink(cov)
+        assert result.skipped == []
+        assert np.all(np.isfinite(result.weights))
+        if decades == 7:
+            with pytest.raises(NoFeasibleXi):
+                _reference_weak_shrink(cov)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_skipped_invariant_to_per_asset_scaling(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(5, 20))
+        cov = sample_covariance(rng, p, int(rng.integers(2, p)))
+        base = weak_shrink(cov)
+        vol = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        assert weak_shrink(rescaled(cov, vol)).skipped == base.skipped
+
+    def test_traced_peak_memory_bounded(self):
+        cov = sample_covariance(np.random.default_rng(5), 250, 60)
+        tracemalloc.start()
+        try:
+            weak_shrink(cov)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from schur_alloc import AllocationConfig, ExperimentConfig, run_experiment, summarize
