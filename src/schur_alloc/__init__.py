@@ -27,7 +27,6 @@ from .portfolio import (
 from .schur import (
     BlockSplit,
     GammaPair,
-    augment_inter,
     augment_intra,
     b_vector,
     max_feasible_gamma,

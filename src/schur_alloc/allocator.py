@@ -3,8 +3,8 @@
 Three modes share one recursion:
 
   hrp             raw blocks, b = 1, no off-block information (gamma pinned to 0)
-  schur_literal   children run on the intra matrices A'', D''; each child vector
-                  is concatenated with a 1/nu(inter) scaling
+  schur_literal   children run on the augmented matrices A'', D''; each child
+                  vector is concatenated with a 1/nu(A'') scaling
   schur_debiased  as literal, but each child's weights are divided elementwise
                   by that side's b-vector first; at gamma = 1 with minvar
                   fitness and terminal this reproduces the global minimum
@@ -32,7 +32,6 @@ from .schur import (
     HEAD,
     TAIL,
     GammaPair,
-    augment_inter,
     augment_intra,
     b_vector,
     max_feasible_gamma,
@@ -51,8 +50,19 @@ from .shrinkage import weak_shrink
 MODES = ("hrp", "schur_literal", "schur_debiased")
 TERMINALS = ("minvar", "weak_minvar", "equal_weight", "inverse_variance")
 
-# Retries when a b-vector degenerates: halve gamma this many times, then zero it.
+# Retries on a degenerate b-vector or augmented matrix: halve gamma this many times, then zero it.
 MAX_GAMMA_HALVINGS = 5
+
+
+def checked_keys(cls, data) -> dict:
+    """A copy of `data`, which must be a mapping with keys only from `cls().to_dict()`."""
+    if not isinstance(data, dict):
+        raise InputError(f"{cls.__name__} needs a JSON object, got {type(data).__name__}")
+    allowed = cls().to_dict()
+    unknown = sorted(str(key) for key in data if key not in allowed)
+    if unknown:
+        raise InputError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return dict(data)
 
 
 @dataclass
@@ -97,7 +107,7 @@ class AllocationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationConfig":
-        data = dict(data)
+        data = checked_keys(cls, data)
         gamma = data.pop("gamma", 0.0)
         gamma_b = data.pop("gamma_b", None)
         return cls(gammas=GammaPair(gamma, gamma_b), **data)
@@ -149,7 +159,7 @@ def _terminal_weights(block: np.ndarray, config: AllocationConfig) -> np.ndarray
 
 
 def _couple(block: np.ndarray, k: int, config: AllocationConfig):
-    """Effective gammas, retry counts and the (intra, inter, b) pairs of one split.
+    """Effective gammas, retry counts and the (augmented matrix, b) pairs of one split.
 
     The split, with its solved products, is dropped on return, before the
     children recurse.
@@ -169,11 +179,9 @@ def _couple(block: np.ndarray, k: int, config: AllocationConfig):
         try:
             intra = tuple(augment_intra(sp, side, effective, eps_b=config.eps_b,
                                         rcond=config.rcond) for side in (HEAD, TAIL))
-            inter = tuple(augment_inter(sp, side, effective, eps_b=config.eps_b,
-                                        rcond=config.rcond) for side in (HEAD, TAIL))
             bs = tuple(b_vector(sp, side, effective.gamma_b, rcond=config.rcond)
                        for side in (HEAD, TAIL))
-            return effective, halvings, gamma_zeroed, (intra, inter, bs)
+            return effective, halvings, gamma_zeroed, (intra, bs)
         except NumericalError:
             if halvings < MAX_GAMMA_HALVINGS:
                 halvings += 1
@@ -192,14 +200,14 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
         return _terminal_weights(block, config)
     k = math.ceil(n / 2)
     effective, halvings, gamma_zeroed, parts = _couple(block, k, config)
-    (a_intra, d_intra), (a_inter, d_inter), (b_head, b_tail) = parts
+    (a_intra, d_intra), (b_head, b_tail) = parts
 
     w_head = _recurse(a_intra, offset, config, diagnostics)
     w_tail = _recurse(d_intra, offset + k, config, diagnostics)
 
-    nu_head = fitness(a_inter, config.fitness, child_weights=w_head,
+    nu_head = fitness(a_intra, config.fitness, child_weights=w_head,
                       shrink_grid_step=config.shrink_grid_step, rcond=config.rcond)
-    nu_tail = fitness(d_inter, config.fitness, child_weights=w_tail,
+    nu_tail = fitness(d_intra, config.fitness, child_weights=w_tail,
                       shrink_grid_step=config.shrink_grid_step, rcond=config.rcond)
 
     head, tail = w_head, w_tail

@@ -21,8 +21,8 @@ SYMMETRY_RTOL = 1e-12
 
 def _validated_square(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NonFiniteInput("matrix contains NaN or infinite entries")
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))

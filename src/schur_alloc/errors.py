@@ -86,10 +86,6 @@ class SingularComplement(NumericalError):
     pass
 
 
-class SingularPrecisionProduct(NumericalError):
-    pass
-
-
 class DegenerateBVector(NumericalError):
     pass
 

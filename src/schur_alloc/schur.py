@@ -6,10 +6,10 @@ b_A(gamma) = 1 - gamma * t, with S = B D^-1 C and t = B D^-1 1 (and the
 mirror images for the D side). S and t do not depend on gamma: each split
 side solves them once, through the conditioning guard, and keeps them on
 its BlockSplit. Every gamma-dependent quantity -- the complement, the
-b-vector, each step of the gamma-cap bisection and both augmentations --
-is then affine in S and t. The intra-group matrix A'' divides the
-complement elementwise by b_A b_A', the inter-group matrix A' multiplies
-the complement's inverse elementwise by b_A b_A' and inverts back.
+b-vector, each step of the gamma-cap bisection and the augmentation -- is
+then affine in S and t. The augmented matrix A'' = A^c / (b_A b_A') serves
+both the recursion and the capital split: the inter-group matrix
+(A^c^-1 * b_A b_A')^-1 is diag(1/b_A) A^c diag(1/b_A), which is A''.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import DEFAULT_RCOND, checked_solve, symmetrize
+from ._linalg import DEFAULT_RCOND, check_conditioning, checked_solve, symmetrize
 from .covmat import cov_values
 from .errors import (
     BadIndex,
@@ -26,7 +26,6 @@ from .errors import (
     InputError,
     SingularComplement,
     SingularComplementBlock,
-    SingularPrecisionProduct,
 )
 
 # Floor on b-vector entries before pointwise division.
@@ -152,39 +151,29 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     return carry_own - gamma_b * (cross @ solved)
 
 
-def _blend(sp: BlockSplit, side: str, gammas: GammaPair, eps_b: float,
-           rcond: float, where: str):
-    """Complement and b-vector at `gammas`, rejecting |b| entries below eps_b."""
-    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
-    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
-    if np.abs(b).min() < eps_b:
-        raise DegenerateBVector(f"|b| entry below {eps_b} {where}")
-    return comp, b
-
-
 def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
                   eps_b: float = DEFAULT_EPS_B,
                   rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Intra-group matrix: complement divided elementwise by b b'."""
+    """Augmented matrix A'' = A^c / (b b'), an exact copy of the raw block at gamma = 0.
+
+    Otherwise raises DegenerateBVector on an |b| entry below eps_b, and
+    SingularComplement, the allocator's cue to halve gamma, when the side is
+    ill-conditioned: a 1x1 side on either pivot of (A^c^-1 * b b')^-1, a
+    larger one when sigma_min / sigma_max of A'' falls below rcond.
+    """
     if gammas.zero:
         return _own_and_other(sp, side)[0].copy()
-    comp, b = _blend(sp, side, gammas, eps_b, rcond, "before pointwise division")
-    return comp / np.outer(b, b)
-
-
-def augment_inter(sp: BlockSplit, side: str, gammas: GammaPair,
-                  eps_b: float = DEFAULT_EPS_B,
-                  rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Inter-group matrix: (complement^-1 elementwise* b b')^-1."""
-    if gammas.zero:
-        return _own_and_other(sp, side)[0].copy()
-    comp, b = _blend(sp, side, gammas, eps_b, rcond, "in precision-domain product")
-    size = comp.shape[0]
-    precision = checked_solve(comp, np.eye(size), rcond=rcond, exc=SingularComplement)
-    product = symmetrize(precision * np.outer(b, b))
-    inverse = checked_solve(product, np.eye(size), rcond=rcond,
-                            exc=SingularPrecisionProduct)
-    return symmetrize(inverse)
+    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
+    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
+    if np.abs(b).min() < eps_b:
+        raise DegenerateBVector(f"|b| entry below {eps_b} before pointwise division")
+    intra = comp / np.outer(b, b)
+    if intra.shape[0] == 1:
+        check_conditioning(comp, rcond, SingularComplement)
+        check_conditioning((1.0 / comp) * (b * b), rcond, SingularComplement)
+    else:
+        check_conditioning(intra, rcond, SingularComplement)
+    return intra
 
 
 def max_feasible_gamma(sp: BlockSplit, side: str,

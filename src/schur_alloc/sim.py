@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import AllocationConfig, allocate
+from .allocator import AllocationConfig, allocate, checked_keys
 from .covmat import empirical_covariance, rand_symm_cov, sample_gaussian
 from .errors import EmptyResult, InputError, SchurAllocError
 from .portfolio import portfolio_variance
@@ -61,7 +61,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
+        data = checked_keys(cls, data)
         allocation = data.pop("allocation", None)
         if allocation is not None:
             allocation = AllocationConfig.from_dict(allocation)

@@ -8,13 +8,15 @@ from schur_alloc import (
     GammaPair,
     allocate,
     allocate_exact,
+    augment_intra,
     b_vector,
+    max_feasible_gamma,
     min_var_unit,
     portfolio_variance,
     schur_complement,
     split,
 )
-from schur_alloc.errors import InputError, ZeroVariance
+from schur_alloc.errors import DimensionMismatch, InputError, SingularComplement, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
 
 from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
@@ -123,6 +125,10 @@ class TestAllocateGoldenVectors:
         with pytest.raises(ZeroVariance):
             allocate(np.diag([1.0, 0.0]), config())
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            allocate(np.zeros((0, 0)))
+
 
 class TestAllocateInvariants:
     def test_weights_sum_to_one(self):
@@ -205,19 +211,17 @@ class TestAllocateInvariants:
                 variances.append(portfolio_variance(cov, allocate(cov, cfg).weights))
             assert all(b <= a + 1e-12 for a, b in zip(variances, variances[1:]))
 
-    def test_inter_matrix_nu_consistency(self):
-        # 1' (A')^-1 1 must equal b' (A^c)^-1 b
+    def test_intra_matrix_nu_consistency(self):
+        # 1' (A'')^-1 1 must equal b' (A^c)^-1 b, the inter-group budget
         rng = np.random.default_rng(6)
-        from schur_alloc import augment_inter
-
         for _ in range(10):
             cov = random_pd(rng, 6)
             sp = split(cov, 3)
             gammas = GammaPair(rng.uniform(0.2, 1.0))
-            inter = augment_inter(sp, "A", gammas)
+            intra = augment_intra(sp, "A", gammas)
             comp = schur_complement(sp, "A", gammas.gamma_c)
             b = b_vector(sp, "A", gammas.gamma_b)
-            lhs = np.linalg.solve(inter, np.ones(3)).sum()
+            lhs = np.linalg.solve(intra, np.ones(3)).sum()
             rhs = b @ np.linalg.solve(comp, b)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -251,6 +255,21 @@ class TestAllocateInvariants:
         report = allocate(cov, cfg)
         assert all(0.0 <= s.gamma_c <= 1.0 for s in report.splits)
         assert all(s.size > s.k >= 1 for s in report.splits)
+
+    def test_capped_split_near_b_floor_retries(self):
+        # the cap stops where b reaches eps_b; the augmented matrix of that
+        # side is then too ill-conditioned, and the split runs at half the cap
+        cov = random_pd(np.random.default_rng(7), 4, ridge=0.01)
+        sp = split(cov, 2)
+        cap = min(max_feasible_gamma(sp, side) for side in ("A", "D"))
+        assert 0.0 < cap < 1.0
+        assert min(np.abs(b_vector(sp, side, cap)).min() for side in ("A", "D")) < 1e-5
+        with pytest.raises(SingularComplement):
+            for side in ("A", "D"):
+                augment_intra(sp, side, GammaPair(cap))
+        top = allocate(cov, config(gammas=1.0)).splits[-1]
+        assert top.size == 4 and top.halvings == 1 and not top.gamma_zeroed
+        assert top.gamma_c == pytest.approx(cap / 2)
 
 
 class TestAllocateExact:

@@ -141,3 +141,20 @@ class TestSimulate:
                                       extra=["--svg", str(tmp_path / "c.svg")])
         assert code == 0
         assert (tmp_path / "c.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("config, named", [
+        ({"p": 10, "bogus": 1}, "bogus"),
+        ({"p": 10, "allocation": {"gamma": 1.0, "colour": "red", "alpha": 2}}, "alpha, colour"),
+        ({"allocation": "minvar"}, "str"),
+        ([1, 2], "list"),
+    ])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "r.csv"),
+                     "--summary", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (tmp_path / "r.csv").exists()

@@ -3,7 +3,6 @@ import pytest
 
 from schur_alloc import (
     GammaPair,
-    augment_inter,
     augment_intra,
     b_vector,
     max_feasible_gamma,
@@ -11,10 +10,13 @@ from schur_alloc import (
     schur_complement,
     split,
 )
+from schur_alloc._linalg import checked_solve, symmetrize
 from schur_alloc.errors import (
     BadIndex,
     DegenerateBVector,
     InputError,
+    NumericalError,
+    SingularComplement,
     SingularComplementBlock,
 )
 
@@ -25,6 +27,46 @@ from conftest import equicorrelated, random_pd
 def equi3_split():
     # the 3-asset equicorrelated example at rho = 0.5, split {1,2} | {3}
     return split(equicorrelated(3, 0.5), 2)
+
+
+def capped_split_cases(seed: int):
+    """(kind, split, gammas) over PD, ridge and T<n covariances, each gamma
+    scaled by the split's feasible cap as the allocator does."""
+    rng = np.random.default_rng(seed)
+    makers = {
+        "pd": lambda n: random_pd(rng, n),
+        "ridge": lambda n: random_pd(rng, n, ridge=0.01),
+        "t_lt_n": lambda n: np.cov(rng.standard_normal((n // 2 + 1, n)), rowvar=False),
+    }
+    for kind, make in makers.items():
+        for _ in range(15):
+            n = int(rng.integers(3, 13))
+            sp = split(make(n), int(rng.integers(1, n)))
+            cap = min(max_feasible_gamma(sp, side) for side in ("A", "D"))
+            for gammas in (GammaPair(0.6, 0.2), GammaPair(0.3), GammaPair(1.0)):
+                if cap > 0.0:
+                    yield kind, sp, gammas.scaled(cap)
+
+
+def double_inversion(sp, side, gammas, eps_b=1e-6):
+    """The inter-group matrix from its definition, (A^c^-1 * b b')^-1: the b
+    floor, then two guarded solves whose failure means the side is unusable."""
+    comp = schur_complement(sp, side, gammas.gamma_c)
+    b = b_vector(sp, side, gammas.gamma_b)
+    if np.abs(b).min() < eps_b:
+        raise DegenerateBVector("|b| entry below eps_b")
+    eye = np.eye(comp.shape[0])
+    precision = checked_solve(comp, eye, exc=SingularComplement)
+    product = symmetrize(precision * np.outer(b, b))
+    return symmetrize(checked_solve(product, eye, exc=SingularComplement))
+
+
+def raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except NumericalError as exc:
+        return type(exc)
+    return None
 
 
 class TestGammaPair:
@@ -114,23 +156,13 @@ class TestAugmentations:
             augment_intra(equi3_split, "D", GammaPair(1.0)), [[6.0]]
         )
 
-    def test_inter_head(self, equi3_split):
-        np.testing.assert_allclose(
-            augment_inter(equi3_split, "A", GammaPair(1.0)), [[3.0, 1.0], [1.0, 3.0]]
-        )
-
-    def test_inter_tail(self, equi3_split):
-        np.testing.assert_allclose(
-            augment_inter(equi3_split, "D", GammaPair(1.0)), [[6.0]]
-        )
-
     def test_gamma_zero_exact_raw_block(self):
         rng = np.random.default_rng(2)
         cov = random_pd(rng, 5)
         sp = split(cov, 2)
         zero = GammaPair(0.0, 0.0)
         np.testing.assert_array_equal(augment_intra(sp, "A", zero), sp.a)
-        np.testing.assert_array_equal(augment_inter(sp, "D", zero), sp.d)
+        np.testing.assert_array_equal(augment_intra(sp, "D", zero), sp.d)
 
     def test_intra_congruence_form(self):
         rng = np.random.default_rng(3)
@@ -144,15 +176,23 @@ class TestAugmentations:
             d_inv = np.diag(1.0 / b)
             np.testing.assert_allclose(intra, d_inv @ comp @ d_inv, atol=1e-12)
 
-    def test_intra_equals_inter_for_constant_b(self):
-        # equicorrelated blocks make b constant, where the two coincide
-        for rho in (0.2, 0.5):
-            sp = split(equicorrelated(4, rho), 2)
-            gammas = GammaPair(0.7)
-            np.testing.assert_allclose(
-                augment_intra(sp, "A", gammas), augment_inter(sp, "A", gammas),
-                atol=1e-10,
-            )
+    def test_intra_matches_double_inversion(self):
+        # diag(b) P diag(b) is P * b b', so (A^c^-1 * b b')^-1 = A^c / b b'
+        # for every b, not only a constant one
+        checked = non_constant = 0
+        for _, sp, gammas in capped_split_cases(7):
+            for side in ("A", "D"):
+                if raised(augment_intra, sp, side, gammas):
+                    continue
+                intra = augment_intra(sp, side, gammas)
+                comp = schur_complement(sp, side, gammas.gamma_c)
+                b = b_vector(sp, side, gammas.gamma_b)
+                oracle = np.linalg.inv(np.linalg.inv(comp) * np.outer(b, b))
+                error = np.abs(intra - oracle).max() / np.abs(intra).max()
+                assert error <= 1e-14 * np.linalg.cond(intra)
+                checked += 1
+                non_constant += np.ptp(b) > 1e-3
+        assert checked > 150 and non_constant > 100
 
     def test_degenerate_b_vector_raises(self):
         eps = 5e-7
@@ -160,6 +200,34 @@ class TestAugmentations:
         sp = split(cov, 1)
         with pytest.raises(DegenerateBVector):
             augment_intra(sp, "A", GammaPair(1.0))
+
+    def test_guard_matches_double_inversion(self):
+        # raises exactly when one of the two guarded solves would have
+        outcomes = {True: set(), False: set()}
+        for _, sp, gammas in capped_split_cases(8):
+            for side in ("A", "D"):
+                size = sp.k if side == "A" else sp.parent.shape[0] - sp.k
+                for scaled in (gammas, GammaPair(1.0)):
+                    new = raised(augment_intra, sp, side, scaled)
+                    assert new is raised(double_inversion, sp, side, scaled)
+                    outcomes[size == 1].add(new)
+        assert outcomes[False] >= {None, SingularComplement}
+        assert None in outcomes[True]
+
+    @pytest.mark.parametrize("cov, k, gammas, eps_b", [
+        # zero complement, b = 1: the first pivot fails
+        ([[1.0, 1.0], [1.0, 1.0]], 1, GammaPair(1.0, 0.0), 1e-6),
+        # complement 0.5, b = 1e-7: only the second pivot b^2 / A^c fails
+        ([[1.0, 0.5], [0.5, 0.5]], 1, GammaPair(1.0, 1.0 - 1e-7), 1e-8),
+        # complement ~1e-13, b = 0.1: the first pivot fails, although
+        # A'' ~1e-11 itself would pass a pivot test
+        ([[0.81 + 1e-13, 0.9], [0.9, 1.0]], 1, GammaPair(1.0), 1e-6),
+    ])
+    def test_one_by_one_pivots(self, cov, k, gammas, eps_b):
+        sp = split(np.array(cov), k)
+        assert raised(double_inversion, sp, "A", gammas, eps_b) is SingularComplement
+        with pytest.raises(SingularComplement):
+            augment_intra(sp, "A", gammas, eps_b=eps_b)
 
 
 class TestBlockInversionIdentity:
@@ -222,7 +290,6 @@ class TestSolvedOnce:
         gammas = GammaPair(min(caps)).scaled(0.5)
         for side in ("A", "D"):
             augment_intra(sp, side, gammas)
-            augment_inter(sp, side, gammas)
             b_vector(sp, side, gammas.gamma_b)
         assert solves["A"] <= 2 and solves["D"] <= 2
 
