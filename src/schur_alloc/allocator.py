@@ -25,12 +25,13 @@ import numpy as np
 from ._linalg import DEFAULT_RCOND, checked_solve
 from .covmat import CovarianceMatrix, cov_values
 from .errors import InputError, NumericalError, SingularComplement, ZeroVariance
-from .portfolio import FITNESS_KINDS, ScaledSolution, budget, fitness, min_var_unit
+from .portfolio import FITNESS_KINDS, ScaledSolution, _fitness, _min_var_unit, budget
 from .schur import (
     DEFAULT_EPS_B,
     DEFAULT_EPS_PD,
     HEAD,
     TAIL,
+    BlockSplit,
     GammaPair,
     augment_intra,
     b_vector,
@@ -54,14 +55,37 @@ TERMINALS = ("minvar", "weak_minvar", "equal_weight", "inverse_variance")
 MAX_GAMMA_HALVINGS = 5
 
 
-def checked_keys(cls, data) -> dict:
-    """A copy of `data`, which must be a mapping with keys only from `cls().to_dict()`."""
+# JSON kind of each default value, as named in error messages.
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list of numbers", dict: "an object"}
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a JSON value may stand where `default` does: any number for a float,
+    never a boolean for a number, and a list item by item against the first default."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(item, default[0]) for item in value)
+    return isinstance(value, type(default))
+
+
+def checked_keys(cls, data, nullable: tuple[str, ...] = ()) -> dict:
+    """A copy of `data`, which must be a mapping with keys only from `cls().to_dict()`,
+    each holding a value of its default's JSON kind (or null, for a `nullable` key)."""
     if not isinstance(data, dict):
         raise InputError(f"{cls.__name__} needs a JSON object, got {type(data).__name__}")
     allowed = cls().to_dict()
     unknown = sorted(str(key) for key in data if key not in allowed)
     if unknown:
         raise InputError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        default = allowed[key]
+        if not (_same_kind(value, default) or (value is None and key in nullable)):
+            raise InputError(f"{cls.__name__} field {key!r} needs {_KIND_NAMES[type(default)]}, "
+                             f"got {type(value).__name__} {value!r}")
     return dict(data)
 
 
@@ -107,7 +131,7 @@ class AllocationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationConfig":
-        data = checked_keys(cls, data)
+        data = checked_keys(cls, data, nullable=("gamma_b",))
         gamma = data.pop("gamma", 0.0)
         gamma_b = data.pop("gamma_b", None)
         return cls(gammas=GammaPair(gamma, gamma_b), **data)
@@ -142,11 +166,11 @@ def _terminal_weights(block: np.ndarray, config: AllocationConfig) -> np.ndarray
     if n == 1:
         return np.ones(1)
     if config.terminal == "minvar":
-        return min_var_unit(block, rcond=config.rcond)
+        return _min_var_unit(block, config.rcond)
     if config.terminal == "weak_minvar":
         shrunk = weak_shrink(block, grid_step=config.shrink_grid_step,
                              rcond=config.rcond).shrunk
-        return min_var_unit(shrunk, rcond=config.rcond)
+        return _min_var_unit(shrunk, config.rcond)
     if config.terminal == "equal_weight":
         return np.full(n, 1.0 / n)
     if config.terminal == "inverse_variance":
@@ -164,7 +188,7 @@ def _couple(block: np.ndarray, k: int, config: AllocationConfig):
     The split, with its solved products, is dropped on return, before the
     children recurse.
     """
-    sp = split(block, k)
+    sp = BlockSplit(block, k)
     effective = config.gammas
     if config.adaptive_cap and not effective.zero:
         effective = effective.scaled(min(
@@ -205,10 +229,8 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
     w_head = _recurse(a_intra, offset, config, diagnostics)
     w_tail = _recurse(d_intra, offset + k, config, diagnostics)
 
-    nu_head = fitness(a_intra, config.fitness, child_weights=w_head,
-                      shrink_grid_step=config.shrink_grid_step, rcond=config.rcond)
-    nu_tail = fitness(d_intra, config.fitness, child_weights=w_tail,
-                      shrink_grid_step=config.shrink_grid_step, rcond=config.rcond)
+    nu_head = _fitness(a_intra, config.fitness, w_head, config.shrink_grid_step, config.rcond)
+    nu_tail = _fitness(d_intra, config.fitness, w_tail, config.shrink_grid_step, config.rcond)
 
     head, tail = w_head, w_tail
     if config.mode == "schur_debiased":
@@ -230,23 +252,28 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
 
 
 def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
-    """Seriate once, recursively bisect, and return normalized weights."""
+    """Seriate once, recursively bisect, and return normalized weights.
+
+    The input is validated once, here; the seriation and the recursion then
+    work on the trusted matrix and the blocks derived from it. Only weak
+    shrinkage, a public step of its own, still checks each block it is given.
+    """
     if config is None:
         config = AllocationConfig()
-    values = cov_values(cov)
-    labels = cov.labels if isinstance(cov, CovarianceMatrix) else None
-    if np.diag(values).min() <= 0.0:
+    if not isinstance(cov, CovarianceMatrix):
+        cov = CovarianceMatrix(cov)
+    if np.diag(cov.values).min() <= 0.0:
         raise ZeroVariance("allocator requires strictly positive variances")
 
-    perm = seriate(values, method=config.seriation)
-    ordered = permute_matrix(values, perm)
+    perm = seriate(cov, method=config.seriation)
+    ordered = permute_matrix(cov, perm)
 
     diagnostics: list[SplitDiagnostics] = []
     weights = _recurse(ordered, 0, config, diagnostics)
     weights = weights / weights.sum()
     weights = unpermute_weights(weights, perm)
     return AllocationReport(weights=weights, order=perm, splits=diagnostics,
-                            config=config, labels=labels)
+                            config=config, labels=cov.labels)
 
 
 def allocate_exact(cov, b=None, gammas: GammaPair | float = 1.0, m: int = 1,

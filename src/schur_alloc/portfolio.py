@@ -58,7 +58,10 @@ def budget(b: np.ndarray, x: np.ndarray, rcond: float,
 
 def min_var_unit(cov, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Minimum-variance weights with a unit budget constraint: Sigma^-1 1 normalized."""
-    values = cov_values(cov)
+    return _min_var_unit(cov_values(cov), rcond)
+
+
+def _min_var_unit(values: np.ndarray, rcond: float) -> np.ndarray:
     ones = np.ones(values.shape[0])
     x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
     return x / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes; weights undefined")
@@ -77,7 +80,10 @@ def min_var_general(q, b, rcond: float = DEFAULT_RCOND) -> ScaledSolution:
 
 
 def portfolio_variance(cov, w) -> float:
-    values = cov_values(cov)
+    return _portfolio_variance(cov_values(cov), w)
+
+
+def _portfolio_variance(values: np.ndarray, w) -> float:
     w = np.asarray(w, dtype=float)
     if w.shape != (values.shape[0],):
         raise DimensionMismatch(f"weights shape {w.shape} for a {values.shape} matrix")
@@ -87,18 +93,22 @@ def portfolio_variance(cov, w) -> float:
 def fitness(cov, kind: str, child_weights=None,
             shrink_grid_step: float = 0.001, rcond: float = DEFAULT_RCOND) -> float:
     """Evaluate the inverse fitness nu of a (possibly augmented) covariance block."""
-    values = cov_values(cov)
+    return _fitness(cov_values(cov), kind, child_weights, shrink_grid_step, rcond)
+
+
+def _fitness(values: np.ndarray, kind: str, child_weights,
+             shrink_grid_step: float, rcond: float) -> float:
     if kind == "subportfolio_variance":
         if child_weights is None:
             raise InputError("subportfolio_variance requires child weights")
-        return portfolio_variance(values, child_weights)
+        return _portfolio_variance(values, child_weights)
     if kind == "minvar_variance":
         ones = np.ones(values.shape[0])
         x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
         return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
         result = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond)
-        return portfolio_variance(values, result.weights)
+        return _portfolio_variance(values, result.weights)
     if kind == "diag_sum_squares":
         return float(np.sum(np.diag(values) ** 2))
     raise InputError(f"unknown fitness kind {kind!r}; expected one of {FITNESS_KINDS}")

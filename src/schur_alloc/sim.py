@@ -61,7 +61,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = checked_keys(cls, data)
+        data = checked_keys(cls, data, nullable=("allocation",))
         allocation = data.pop("allocation", None)
         if allocation is not None:
             allocation = AllocationConfig.from_dict(allocation)

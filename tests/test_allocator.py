@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schur_alloc
 from schur_alloc import (
     AllocationConfig,
     GammaPair,
@@ -16,8 +21,10 @@ from schur_alloc import (
     schur_complement,
     split,
 )
+from schur_alloc import covmat
 from schur_alloc.errors import DimensionMismatch, InputError, SingularComplement, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
+from schur_alloc.sim import default_allocation
 
 from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
 
@@ -88,6 +95,48 @@ class TestConfig:
             '"seriation": "identity", "adaptive_cap": false, "eps_pd": 1e-07, '
             '"eps_b": 1e-05, "rcond": 1e-11, "shrink_grid_step": 0.01}'
         )
+
+    def test_from_dict_value_kinds(self):
+        loaded = AllocationConfig.from_dict({"gamma": 1, "gamma_b": None, "terminal_size": 3})
+        assert loaded.gammas == GammaPair(1.0) and loaded.terminal_size == 3
+        for bad in ({"terminal_size": 5.0}, {"terminal_size": True}, {"gamma": "1"},
+                    {"adaptive_cap": 1}, {"mode": None}):
+            with pytest.raises(InputError, match=f"field '{next(iter(bad))}'"):
+                AllocationConfig.from_dict(bad)
+
+
+class TestAllocateFootprint:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_input_validated_once(self, monkeypatch, gamma):
+        calls = []
+        validate = covmat._validated_square
+
+        def counted(values):
+            calls.append(values.shape)
+            return validate(values)
+
+        monkeypatch.setattr(covmat, "_validated_square", counted)
+        cov = random_pd(np.random.default_rng(12), 40)
+        allocate(cov, AllocationConfig().with_gamma(gamma))
+        assert calls == [(40, 40)]
+
+    def test_numpy_ma_never_imported(self):
+        # numpy.ma adds about 1.5 MB of resident memory to every process that loads it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import schur_alloc\n"
+            "from schur_alloc.sim import default_allocation\n"
+            "m = np.random.default_rng(0).standard_normal((30, 40))\n"
+            "schur_alloc.allocate(np.cov(m.T), default_allocation().with_gamma(1.0))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = str(Path(schur_alloc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestAllocateGoldenVectors:

@@ -147,6 +147,8 @@ class TestSimulate:
         ({"p": 10, "allocation": {"gamma": 1.0, "colour": "red", "alpha": 2}}, "alpha, colour"),
         ({"allocation": "minvar"}, "str"),
         ([1, 2], "list"),
+        ({"p": "abc"}, "ExperimentConfig field 'p' needs an integer, got str"),
+        ({"allocation": {"terminal_size": "5"}}, "field 'terminal_size' needs an integer"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config, named):
         path = tmp_path / "config.json"

@@ -6,6 +6,7 @@ from schur_alloc.sim import (
     ExperimentResult,
     TrialRow,
     _run_trial,
+    default_allocation,
     write_result_csv,
     write_summary_csv,
     write_summary_svg,
@@ -43,6 +44,10 @@ class TestConfigValidation:
         cfg = small_config()
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_null_allocation_is_the_default(self):
+        cfg = ExperimentConfig.from_dict({"p": 20, "allocation": None})
+        assert cfg.allocation == default_allocation()
 
 
 class TestRunExperiment:
