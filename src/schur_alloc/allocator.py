@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_RCOND, checked_solve
 from .covmat import CovarianceMatrix, cov_values
-from .errors import InputError, NumericalError, SingularComplement, ZeroVariance
+from .errors import InputError, NotPSD, NumericalError, SingularComplement, ZeroVariance
 from .portfolio import FITNESS_KINDS, ScaledSolution, _fitness, _min_var_unit, budget
 from .schur import (
     DEFAULT_EPS_B,
@@ -118,6 +118,12 @@ class AllocationConfig:
             raise InputError(f"seriation {self.seriation!r} not one of {SERIATION_METHODS}")
         if self.terminal_size < 1:
             raise InputError(f"terminal_size must be >= 1, got {self.terminal_size}")
+        for name, ok, allowed in (("rcond", 0.0 < self.rcond < 1.0, "(0, 1)"),
+                                  ("eps_b", 0.0 < self.eps_b < 1.0, "(0, 1)"),
+                                  ("eps_pd", 0.0 <= self.eps_pd < math.inf, "[0, inf)"),
+                                  ("shrink_grid_step", 0.0 < self.shrink_grid_step <= 1.0, "(0, 1]")):
+            if not ok:
+                raise InputError(f"{name}={getattr(self, name)!r} outside {allowed}")
         if self.mode == "hrp":
             self.gammas = GammaPair(0.0, 0.0)
 
@@ -232,12 +238,10 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
     nu_head = _fitness(a_intra, config.fitness, w_head, config.shrink_grid_step, config.rcond)
     nu_tail = _fitness(d_intra, config.fitness, w_tail, config.shrink_grid_step, config.rcond)
 
-    head, tail = w_head, w_tail
     if config.mode == "schur_debiased":
-        head = head / b_head
-        tail = tail / b_tail
+        w_head, w_tail = w_head / b_head, w_tail / b_tail
 
-    combined = np.concatenate([head / nu_head, tail / nu_tail])
+    combined = np.concatenate([w_head / nu_head, w_tail / nu_tail])
     combined = combined / combined.sum()
 
     diagnostics.append(SplitDiagnostics(
@@ -269,7 +273,10 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
     ordered = permute_matrix(cov, perm)
 
     diagnostics: list[SplitDiagnostics] = []
-    weights = _recurse(ordered, 0, config, diagnostics)
+    try:
+        weights = _recurse(ordered, 0, config, diagnostics)
+    except ZeroVariance as exc:
+        raise NotPSD("a block derived from the covariance has a non-positive variance") from exc
     weights = weights / weights.sum()
     weights = unpermute_weights(weights, perm)
     return AllocationReport(weights=weights, order=perm, splits=diagnostics,

@@ -6,14 +6,15 @@ b_A(gamma) = 1 - gamma * t, with S = B D^-1 C and t = B D^-1 1 (and the
 mirror images for the D side). S and t do not depend on gamma: each split
 side solves them once, through the conditioning guard, and keeps them on
 its BlockSplit. Every gamma-dependent quantity -- the complement, the
-b-vector, each step of the gamma-cap bisection and the augmentation -- is
-then affine in S and t. The augmented matrix A'' = A^c / (b_A b_A') serves
+b-vector, both closed-form limits of the gamma cap and the augmentation --
+is then affine in S and t. The augmented matrix A'' = A^c / (b_A b_A') serves
 both the recursion and the capital split: the inter-group matrix
 (A^c^-1 * b_A b_A')^-1 is diag(1/b_A) A^c diag(1/b_A), which is A''.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ from .errors import (
 DEFAULT_EPS_B = 1e-6
 # Positive-definiteness margin used by the adaptive gamma cap.
 DEFAULT_EPS_PD = 1e-8
+# The cap is rounded down to a multiple of this, so it lies strictly inside both limits.
+CAP_STEP = 2.0 ** -20
 
 HEAD, TAIL = "A", "D"
 
@@ -179,38 +182,27 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
 def max_feasible_gamma(sp: BlockSplit, side: str,
                        eps_pd: float = DEFAULT_EPS_PD,
                        eps_b: float = DEFAULT_EPS_B,
-                       rcond: float = DEFAULT_RCOND,
-                       resolution: float = 1e-6,
-                       max_iter: int = 40) -> float:
-    """Largest gamma in [0, 1] keeping the complement PD and b entries >= eps_b.
+                       rcond: float = DEFAULT_RCOND) -> float:
+    """Largest gamma in [0, 1] on the CAP_STEP grid keeping A - gamma S - eps_pd I
+    positive definite and b = 1 - gamma t >= eps_b, for 0 < eps_b < 1.
 
-    Bisection over the affine complement and b-vector; the allocator
-    multiplies the user's gamma by this cap. Returns 0.0 when no positive
-    gamma is feasible, at once when the complementary block is singular.
+    The limits are (1 - eps_b) / max t and, with L L' = A - eps_pd I, 1 / the
+    top eigenvalue of the pencil L^-1 S L^-T; each binds only below 1. Every
+    blend is PD when A - S - eps_pd I is, so a Cholesky of it skips the pencil.
+    The cap is 0.0 when the complementary block is singular or A - eps_pd I is not PD.
     """
     try:
-        _product(sp, side, "t", rcond)
-    except SingularComplementBlock:
+        t, s = _product(sp, side, "t", rcond), _product(sp, side, "S", rcond)
+        shifted = _own_and_other(sp, side)[0].copy()
+        shifted.flat[:: shifted.shape[0] + 1] -= eps_pd
+        factor = np.linalg.cholesky(shifted)
+    except (SingularComplementBlock, np.linalg.LinAlgError):
         return 0.0
-
-    def feasible(gamma: float) -> bool:
-        if b_vector(sp, side, gamma, rcond=rcond).min() < eps_b:
-            return False
-        try:
-            comp = schur_complement(sp, side, gamma, rcond=rcond)
-            return bool(np.linalg.eigvalsh(comp).min() > eps_pd)
-        except np.linalg.LinAlgError:
-            return False
-
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        if hi - lo < resolution:
-            break
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    shifted -= s
+    try:
+        np.linalg.cholesky(shifted)
+        top = 0.0
+    except np.linalg.LinAlgError:
+        top = np.linalg.eigvalsh(np.linalg.solve(factor, np.linalg.solve(factor, s).T))[-1]
+    limit = min((1.0 - eps_b) / max(t.max(), 1.0 - eps_b), 1.0 / max(top, 1.0))
+    return math.floor(limit / CAP_STEP) * CAP_STEP

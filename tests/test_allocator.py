@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,14 @@ from schur_alloc import (
     split,
 )
 from schur_alloc import covmat
-from schur_alloc.errors import DimensionMismatch, InputError, SingularComplement, ZeroVariance
+from schur_alloc.errors import (
+    DimensionMismatch,
+    InputError,
+    NotPSD,
+    NumericalError,
+    SingularComplement,
+    ZeroVariance,
+)
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
 from schur_alloc.sim import default_allocation
 
@@ -104,6 +112,22 @@ class TestConfig:
             with pytest.raises(InputError, match=f"field '{next(iter(bad))}'"):
                 AllocationConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("rcond", math.nan), ("rcond", -1.0), ("rcond", 0.0), ("rcond", 1.0), ("rcond", math.inf),
+        ("eps_b", math.nan), ("eps_b", 0.0), ("eps_b", 1.0), ("eps_b", -1e-6),
+        ("eps_pd", math.nan), ("eps_pd", -1e-8), ("eps_pd", math.inf),
+        ("shrink_grid_step", math.nan), ("shrink_grid_step", 0.0), ("shrink_grid_step", 1.5),
+    ])
+    def test_bad_threshold(self, name, value):
+        with pytest.raises(InputError, match=f"^{name}="):
+            AllocationConfig(**{name: value})
+        with pytest.raises(InputError, match=f"^{name}="):
+            AllocationConfig.from_dict({name: value})
+
+    def test_edge_thresholds_accepted(self):
+        cfg = AllocationConfig(eps_pd=0.0, shrink_grid_step=1.0, rcond=0.5, eps_b=0.5)
+        assert cfg.eps_pd == 0.0 and cfg.shrink_grid_step == 1.0
+
 
 class TestAllocateFootprint:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -173,6 +197,16 @@ class TestAllocateGoldenVectors:
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVariance):
             allocate(np.diag([1.0, 0.0]), config())
+
+    @pytest.mark.parametrize("terminal", ["inverse_variance", "weak_minvar"])
+    def test_lost_variance_is_numerical(self, terminal):
+        # T < n with the cap off: at gamma 1 an augmented block has a
+        # non-positive diagonal, which is not the caller's input error
+        cov = np.cov(np.random.default_rng(0).standard_normal((4, 6)), rowvar=False)
+        with pytest.raises(NotPSD) as info:
+            allocate(cov, AllocationConfig(gammas=1.0, adaptive_cap=False, terminal=terminal))
+        assert isinstance(info.value, NumericalError)
+        assert isinstance(info.value.__cause__, ZeroVariance)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):

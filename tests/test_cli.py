@@ -149,6 +149,15 @@ class TestSimulate:
         ([1, 2], "list"),
         ({"p": "abc"}, "ExperimentConfig field 'p' needs an integer, got str"),
         ({"allocation": {"terminal_size": "5"}}, "field 'terminal_size' needs an integer"),
+        ({"allocation": {"rcond": float("nan")}}, "rcond=nan outside (0, 1)"),
+        ({"allocation": {"rcond": -1}}, "rcond=-1 outside (0, 1)"),
+        ({"allocation": {"rcond": 0}}, "rcond=0 outside (0, 1)"),
+        ({"allocation": {"eps_b": 1.0}}, "eps_b=1.0 outside (0, 1)"),
+        ({"allocation": {"eps_b": float("nan")}}, "eps_b=nan"),
+        ({"allocation": {"eps_pd": -1e-8}}, "eps_pd=-1e-08 outside [0, inf)"),
+        ({"allocation": {"eps_pd": float("inf")}}, "eps_pd=inf"),
+        ({"allocation": {"shrink_grid_step": 0}}, "shrink_grid_step=0 outside (0, 1]"),
+        ({"allocation": {"shrink_grid_step": float("nan")}}, "shrink_grid_step=nan"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config, named):
         path = tmp_path / "config.json"

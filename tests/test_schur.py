@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_alloc import (
     GammaPair,
@@ -10,7 +14,7 @@ from schur_alloc import (
     schur_complement,
     split,
 )
-from schur_alloc._linalg import checked_solve, symmetrize
+from schur_alloc._linalg import DEFAULT_RCOND, checked_solve, symmetrize
 from schur_alloc.errors import (
     BadIndex,
     DegenerateBVector,
@@ -59,6 +63,90 @@ def double_inversion(sp, side, gammas, eps_b=1e-6):
     precision = checked_solve(comp, eye, exc=SingularComplement)
     product = symmetrize(precision * np.outer(b, b))
     return symmetrize(checked_solve(product, eye, exc=SingularComplement))
+
+
+def _reference_feasible(sp, side, gamma, eps_pd=1e-8, eps_b=1e-6, rcond=DEFAULT_RCOND):
+    """The bisection's test: b >= eps_b, then the complement's eigenvalues above eps_pd."""
+    if b_vector(sp, side, gamma, rcond=rcond).min() < eps_b:
+        return False
+    try:
+        comp = schur_complement(sp, side, gamma, rcond=rcond)
+        return bool(np.linalg.eigvalsh(comp).min() > eps_pd)
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _reference_max_feasible_gamma(sp, side, eps_pd=1e-8, eps_b=1e-6, rcond=DEFAULT_RCOND,
+                                  resolution=1e-6, max_iter=40):
+    """The cap as a bisection over the affine complement and b-vector, as it was
+    computed before the closed form; 0.0 at once on a singular complementary block."""
+    try:
+        schur._product(sp, side, "t", rcond)
+    except SingularComplementBlock:
+        return 0.0
+
+    def feasible(gamma):
+        return _reference_feasible(sp, side, gamma, eps_pd, eps_b, rcond)
+
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        if hi - lo < resolution:
+            break
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def cap_corpus(seed: int, per_kind: int):
+    """(kind, covariance, split index) over the seven kinds the cap meets, n in 2..40."""
+    rng = np.random.default_rng(seed)
+
+    def factor(n):
+        loadings = rng.normal(0.0, 0.25, (n, 3))
+        loadings[:, 0] += 0.6
+        true = loadings @ loadings.T + np.diag(rng.uniform(0.2, 0.6, n))
+        return np.cov(rng.multivariate_normal(np.zeros(n), true, 3 * n), rowvar=False)
+
+    def near_duplicate(n):
+        cov = random_pd(rng, n, ridge=0.1)
+        j = int(rng.integers(1, n))
+        cov[j, :] = cov[:, j] = cov[0, :] * (1.0 + 1e-9)
+        cov[j, j] = cov[0, 0] * (1.0 + 1e-9) ** 2 + 1e-10
+        return cov
+
+    def non_psd(n):
+        m = rng.standard_normal((n, n))
+        cov = (m + m.T) / 2.0
+        cov[np.diag_indices(n)] = np.abs(np.diag(cov)) + 0.5
+        return cov
+
+    makers = {
+        "pd": lambda n: random_pd(rng, n),
+        "ridge": lambda n: random_pd(rng, n, ridge=0.01),
+        "t_lt_n": lambda n: np.cov(rng.standard_normal((max(2, n // 2), n)), rowvar=False),
+        "factor_t_3n": factor,
+        "near_duplicate": near_duplicate,
+        "scaled_1e6": lambda n: 1e6 * random_pd(rng, n, ridge=0.01),
+        "non_psd": non_psd,
+    }
+    for kind, make in makers.items():
+        for _ in range(per_kind):
+            n = int(rng.integers(2, 41))
+            yield kind, make(n), int(rng.integers(1, n))
+
+
+def shifted_is_pd(sp, side, eps_pd=1e-8):
+    own = sp.a if side == "A" else sp.d
+    try:
+        np.linalg.cholesky(own - eps_pd * np.eye(own.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def raised(fn, *args, **kwargs):
@@ -260,6 +348,123 @@ class TestMaxFeasibleGamma:
         assert max_feasible_gamma(sp, "A") == 1.0
         assert max_feasible_gamma(sp, "D") == 1.0
 
+    def test_matches_bisection_on_corpus(self):
+        # the bisection halves [0, 1] exactly down to a width of 2^-20, so where
+        # gamma = 0 is feasible it ends on the largest feasible grid point
+        capped, zeroed = set(), 0
+        for kind, cov, k in cap_corpus(11, 12):
+            for side in ("A", "D"):
+                cap = max_feasible_gamma(split(cov, k), side)
+                reference = _reference_max_feasible_gamma(split(cov, k), side)
+                if shifted_is_pd(split(cov, k), side):
+                    assert cap == reference, (kind, side)
+                    if 0.0 < cap < 1.0:
+                        capped.add(kind)
+                else:
+                    # gamma = 0 itself fails the margin, so no [0, gamma] is feasible;
+                    # only an indefinite S lets the bisection find a positive gamma
+                    assert cap == 0.0 and (reference == 0.0 or kind == "non_psd"), kind
+                    zeroed += 1
+        assert len(capped) >= 5 and zeroed > 0
+
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=20),
+           st.sampled_from([0.0, 1e-3]), st.sampled_from([1e-3, 1.0, 1e3]),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_cap_is_the_largest_feasible_grid_point(self, n, samples, ridge, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((samples, n))
+        cov = scale * (x.T @ x / samples + ridge * np.eye(n))
+        sp = split(cov, int(rng.integers(1, n)))
+        for side in ("A", "D"):
+            cap = max_feasible_gamma(sp, side)
+            try:
+                schur._product(sp, side, "t", DEFAULT_RCOND)
+            except SingularComplementBlock:
+                assert cap == 0.0
+                continue
+            if cap > 0.0:
+                assert _reference_feasible(sp, side, cap)
+            if cap < 1.0:
+                assert cap % schur.CAP_STEP == 0.0
+                assert not _reference_feasible(sp, side, cap + schur.CAP_STEP)
+
+    @pytest.mark.parametrize("coupling", [1e-160, 1e-310])
+    def test_tiny_coupling_is_uncapped(self, coupling):
+        # lambda_max ~ coupling^2 or max t ~ coupling would overflow a
+        # reciprocal; tier-1 turns that RuntimeWarning into a failure
+        cov = np.eye(4)
+        cov[0, 2] = cov[2, 0] = coupling
+        cov[1, 3] = cov[3, 1] = -coupling
+        sp = split(cov, 2)
+        assert max_feasible_gamma(sp, "A") == max_feasible_gamma(sp, "D") == 1.0
+
+    def test_factorizations_per_call(self, monkeypatch):
+        counts = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        cholesky = np.linalg.cholesky
+
+        def positive_definite(matrix):
+            try:
+                cholesky(matrix)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("schur_complement", "b_vector"):
+            monkeypatch.setattr(schur, name, counting(name, getattr(schur, name)))
+        pencils = 0
+        for _, cov, k in cap_corpus(12, 3):
+            for side in ("A", "D"):
+                counts.clear()
+                sp = split(cov, k)
+                max_feasible_gamma(sp, side)
+                assert counts.get("cholesky", 0) <= 2 and counts.get("eigvalsh", 0) <= 1
+                assert "schur_complement" not in counts and "b_vector" not in counts
+                # the pencil is solved only where the gamma = 1 blend is not PD
+                if counts.get("cholesky", 0) == 2:
+                    pencils += counts.get("eigvalsh", 0)
+                    own = sp.a if side == "A" else sp.d
+                    blend = (own - 1e-8 * np.eye(own.shape[0])
+                             - schur._product(sp, side, "S", DEFAULT_RCOND))
+                    assert counts.get("eigvalsh", 0) == (0 if positive_definite(blend) else 1)
+        assert pencils > 0
+
+    def test_pd_limit_binds_below_t_lt_n(self):
+        # five assets from four observations: rank 3, so A - S is singular, while
+        # A (2x2) and the complementary 3x3 block are both non-singular
+        x = np.random.default_rng(4).standard_normal((4, 5))
+        sp = split(np.cov(x, rowvar=False), 2)
+        cap = max_feasible_gamma(sp, "D")
+        t = schur._product(sp, "D", "t", DEFAULT_RCOND)
+        s = schur._product(sp, "D", "S", DEFAULT_RCOND)
+        gamma_pd = 1.0 / np.linalg.eigvals(np.linalg.solve(sp.d - 1e-8 * np.eye(3), s)).real.max()
+        assert (1.0 - 1e-6) / t.max() > 1.0 > gamma_pd
+        assert cap == math.floor(gamma_pd / schur.CAP_STEP) * schur.CAP_STEP < 1.0
+        assert cap == _reference_max_feasible_gamma(sp, "D")
+
+    @pytest.mark.parametrize("cov, k, side, reference", [
+        # a duplicated asset inside the own block: singular, like every larger gamma
+        ([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]], 2, "A", 0.0),
+        # an indefinite complementary block: A - gamma S is positive definite only
+        # on an interval away from 0, where the bisection stopped
+        ([[4.0, -3.0, 0.0, 4.0], [-3.0, 2.0, 2.0, -5.0], [0.0, 2.0, 4.0, 4.0],
+          [4.0, -5.0, 4.0, 4.0]], 2, "D", 0.0666656494140625),
+    ])
+    def test_own_block_not_pd_caps_at_zero(self, cov, k, side, reference):
+        sp = split(np.array(cov), k)
+        assert not shifted_is_pd(sp, side)
+        assert max_feasible_gamma(sp, side) == 0.0
+        assert _reference_max_feasible_gamma(sp, side) == reference
+
     def test_cap_is_feasible(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -273,7 +478,7 @@ class TestMaxFeasibleGamma:
 
 class TestSolvedOnce:
     def test_complementary_block_solved_at_most_twice_per_side(self, monkeypatch):
-        # both sides of this split are capped, so the cap bisects on each
+        # both sides of this split are capped, so each side's cap reads S and t
         sp = split(random_pd(np.random.default_rng(3), 7, ridge=0.01), 4)
         solves = {"A": 0, "D": 0}
         original = schur.checked_solve
