@@ -2,6 +2,8 @@
 (gamma = 0) to the exact minimum-variance portfolio (gamma = 1) via
 Schur-complement augmented covariance blocks."""
 
+import logging
+
 from .allocator import (
     AllocationConfig,
     AllocationReport,
@@ -44,3 +46,6 @@ from .shrinkage import ShrinkageResult, long_only_clip, scale_off_diagonal, weak
 from .sim import ExperimentConfig, ExperimentResult, run_experiment, summarize
 
 __version__ = "0.1.0"
+
+# Library warnings (a split's gamma zeroed) print only where the caller configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

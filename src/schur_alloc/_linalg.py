@@ -1,4 +1,11 @@
-"""Internal solve helpers with an explicit conditioning guard."""
+"""Internal solve helpers with an explicit conditioning guard.
+
+The guard expects a symmetric matrix. Its singular values are then the
+magnitudes of its eigenvalues, so one `eigvalsh` gives the verdict an SVD
+would, at a fraction of the cost. Every caller passes a symmetric matrix:
+a complementary block, an augmented matrix A'', a terminal block, or a
+validated or symmetrized input.
+"""
 
 from __future__ import annotations
 
@@ -12,25 +19,36 @@ DEFAULT_RCOND = 1e-12
 
 def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
                        exc: type[NumericalError] = NumericalError) -> None:
-    """Raise `exc` on a 1x1 pivot |p| <= rcond, or on sigma_min / sigma_max < rcond."""
+    """Raise `exc` on a 1x1 pivot |p| <= rcond, or on |lambda|_min / |lambda|_max < rcond.
+
+    `matrix` must be symmetric; only its lower triangle is read. A NaN
+    eigenvalue fails the test.
+    """
     if matrix.shape[0] == 1:
         if abs(matrix[0, 0]) <= rcond:
             raise exc("1x1 system with near-zero pivot")
         return
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    if singular_values[0] <= 0.0 or singular_values[-1] / singular_values[0] < rcond:
+    magnitudes = np.abs(np.linalg.eigvalsh(matrix))
+    largest, smallest = magnitudes.max(), magnitudes.min()
+    if not largest > 0.0 or smallest / largest < rcond:
         raise exc(
             f"matrix is singular or ill-conditioned (rcond ~ "
-            f"{singular_values[-1] / max(singular_values[0], np.finfo(float).tiny):.2e})"
+            f"{smallest / max(largest, np.finfo(float).tiny):.2e})"
         )
 
 
 def checked_solve(matrix: np.ndarray, rhs: np.ndarray,
                   rcond: float = DEFAULT_RCOND,
                   exc: type[NumericalError] = NumericalError) -> np.ndarray:
-    """Solve matrix @ x = rhs, raising `exc` on singular or ill-conditioned input."""
+    """Solve matrix @ x = rhs for a symmetric matrix, raising `exc` on singular or
+    ill-conditioned input."""
     matrix = np.asarray(matrix, dtype=float)
     check_conditioning(matrix, rcond, exc)
+    return _solve(matrix, rhs, exc)
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray, exc: type[NumericalError]) -> np.ndarray:
+    """Solve matrix @ x = rhs for a float matrix that passed check_conditioning."""
     if matrix.shape[0] == 1:
         return np.asarray(rhs, dtype=float) / matrix[0, 0]
     try:

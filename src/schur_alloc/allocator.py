@@ -16,6 +16,7 @@ is exact at gamma = 1 by block inversion, for any split index.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -46,13 +47,15 @@ from .seriation import (
     seriate,
     unpermute_weights,
 )
-from .shrinkage import weak_shrink
+from .shrinkage import check_grid_step, weak_shrink
 
 MODES = ("hrp", "schur_literal", "schur_debiased")
 TERMINALS = ("minvar", "weak_minvar", "equal_weight", "inverse_variance")
 
 # Retries on a degenerate b-vector or augmented matrix: halve gamma this many times, then zero it.
 MAX_GAMMA_HALVINGS = 5
+
+log = logging.getLogger("schur_alloc")
 
 
 # JSON kind of each default value, as named in error messages.
@@ -124,6 +127,7 @@ class AllocationConfig:
                                   ("shrink_grid_step", 0.0 < self.shrink_grid_step <= 1.0, "(0, 1]")):
             if not ok:
                 raise InputError(f"{name}={getattr(self, name)!r} outside {allowed}")
+        check_grid_step(self.shrink_grid_step, "shrink_grid_step")
         if self.mode == "hrp":
             self.gammas = GammaPair(0.0, 0.0)
 
@@ -277,6 +281,10 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
         weights = _recurse(ordered, 0, config, diagnostics)
     except ZeroVariance as exc:
         raise NotPSD("a block derived from the covariance has a non-positive variance") from exc
+    zeroed = sum(s.gamma_zeroed for s in diagnostics)
+    if zeroed:
+        log.warning("gamma zeroed at %d of %d splits after %d halvings each",
+                    zeroed, len(diagnostics), MAX_GAMMA_HALVINGS)
     weights = weights / weights.sum()
     weights = unpermute_weights(weights, perm)
     return AllocationReport(weights=weights, order=perm, splits=diagnostics,

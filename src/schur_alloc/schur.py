@@ -4,12 +4,14 @@ For a split Sigma = [[A, B], [C, D]] with C = B' the blended complement is
 A^c(gamma) = A - gamma * S and the inherited constraint vector is
 b_A(gamma) = 1 - gamma * t, with S = B D^-1 C and t = B D^-1 1 (and the
 mirror images for the D side). S and t do not depend on gamma: each split
-side solves them once, through the conditioning guard, and keeps them on
-its BlockSplit. Every gamma-dependent quantity -- the complement, the
-b-vector, both closed-form limits of the gamma cap and the augmentation --
-is then affine in S and t. The augmented matrix A'' = A^c / (b_A b_A') serves
-both the recursion and the capital split: the inter-group matrix
-(A^c^-1 * b_A b_A')^-1 is diag(1/b_A) A^c diag(1/b_A), which is A''.
+side guards its complementary block once, solves S and t once, and keeps
+the verdict and both products on its BlockSplit; a constraint carried
+through the split (allocate_exact) reuses that verdict. Every
+gamma-dependent quantity -- the complement, the b-vector, both closed-form
+limits of the gamma cap and the augmentation -- is then affine in S and t.
+The augmented matrix A'' = A^c / (b_A b_A') serves both the recursion and
+the capital split: the inter-group matrix (A^c^-1 * b_A b_A')^-1 is
+diag(1/b_A) A^c diag(1/b_A), which is A''.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import DEFAULT_RCOND, check_conditioning, checked_solve, symmetrize
+from ._linalg import DEFAULT_RCOND, _solve, check_conditioning, symmetrize
 from .covmat import cov_values
 from .errors import (
     BadIndex,
@@ -67,7 +69,9 @@ class BlockSplit:
     """Views of a covariance matrix split at index k.
 
     The gamma-independent products S and t of each side are solved on first
-    use and kept, keyed by (side, product, rcond), for the life of the split.
+    use and kept, keyed by (side, product, rcond), for the life of the split,
+    beside the conditioning verdict on that side's complementary block, keyed
+    by (side, "guard", rcond).
     """
 
     parent: np.ndarray
@@ -108,14 +112,29 @@ def _own_and_other(sp: BlockSplit, side: str):
     raise InputError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
 
 
+def _solve_other(sp: BlockSplit, side: str, rhs: np.ndarray, rcond: float) -> np.ndarray:
+    """other^-1 @ rhs. The complementary block is guarded on the first call for
+    (side, rcond); a failed verdict is kept and raised again on every later call."""
+    other = _own_and_other(sp, side)[2]
+    key = (side, "guard", rcond)
+    if key not in sp._solved:
+        try:
+            check_conditioning(other, rcond, SingularComplementBlock)
+            sp._solved[key] = None
+        except SingularComplementBlock as err:
+            sp._solved[key] = str(err)
+    if sp._solved[key] is not None:
+        raise SingularComplementBlock(sp._solved[key])
+    return _solve(other, rhs, SingularComplementBlock)
+
+
 def _product(sp: BlockSplit, side: str, name: str, rcond: float) -> np.ndarray:
     """S = cross @ other^-1 @ cross' or t = cross @ other^-1 @ 1, solved once."""
     key = (side, name, rcond)
     if key not in sp._solved:
         _, cross, other = _own_and_other(sp, side)
         rhs = cross.T if name == "S" else np.ones(other.shape[0])
-        solved = checked_solve(other, rhs, rcond=rcond, exc=SingularComplementBlock)
-        sp._solved[key] = cross @ solved
+        sp._solved[key] = cross @ _solve_other(sp, side, rhs, rcond)
     return sp._solved[key]
 
 
@@ -136,7 +155,7 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     With the default all-ones carry this is b = 1 - gamma_b * cross @ other^-1 @ 1;
     a non-default carry propagates an outer constraint through the split.
     """
-    own, cross, other = _own_and_other(sp, side)
+    own, cross, _ = _own_and_other(sp, side)
     if carry is None:
         ones = np.ones(own.shape[0])
         return ones if gamma_b == 0.0 else ones - gamma_b * _product(sp, side, "t", rcond)
@@ -150,8 +169,7 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
         carry_own, carry_other = carry[sp.k:], carry[: sp.k]
     if gamma_b == 0.0:
         return carry_own.copy()
-    solved = checked_solve(other, carry_other, rcond=rcond, exc=SingularComplementBlock)
-    return carry_own - gamma_b * (cross @ solved)
+    return carry_own - gamma_b * (cross @ _solve_other(sp, side, carry_other, rcond))
 
 
 def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
@@ -162,7 +180,7 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     Otherwise raises DegenerateBVector on an |b| entry below eps_b, and
     SingularComplement, the allocator's cue to halve gamma, when the side is
     ill-conditioned: a 1x1 side on either pivot of (A^c^-1 * b b')^-1, a
-    larger one when sigma_min / sigma_max of A'' falls below rcond.
+    larger one when |lambda|_min / |lambda|_max of A'' falls below rcond.
     """
     if gammas.zero:
         return _own_and_other(sp, side)[0].copy()

@@ -15,6 +15,9 @@ from .errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 # Grid resolution for the xi search. 0.001 resolves the reference 4x4
 # example's true minimizer (0.976); a 0.005 grid misses it.
 DEFAULT_GRID_STEP = 0.001
+# Finest grid accepted: at most 10,001 points, so the grid's arrays stay
+# bounded at 10,001 x n entries each.
+MIN_GRID_STEP = 1e-4
 
 
 @dataclass
@@ -45,6 +48,12 @@ def long_only_clip(weights) -> np.ndarray:
     return clipped / total
 
 
+def check_grid_step(step: float, name: str = "grid_step") -> None:
+    """Raise XiOutOfRange unless MIN_GRID_STEP <= step <= 1."""
+    if not (MIN_GRID_STEP <= step <= 1.0):
+        raise XiOutOfRange(f"{name}={step!r} outside [MIN_GRID_STEP={MIN_GRID_STEP}, 1]")
+
+
 def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
                 rcond: float = DEFAULT_RCOND) -> ShrinkageResult:
     """Grid-search xi in [0, 1]; ties broken toward smaller xi.
@@ -58,9 +67,8 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     conditioning test on the correlation form, blind to the variances'
     scale), or when its portfolio has no usable budget or no positive weight.
     """
+    check_grid_step(grid_step)
     values = cov_values(cov)
-    if not (0.0 < grid_step <= 1.0):
-        raise XiOutOfRange(f"grid_step={grid_step} outside (0, 1]")
     variances_diag = np.diag(values)
     if variances_diag.min() <= 0.0:
         raise ZeroVariance("weak shrinkage needs strictly positive variances")

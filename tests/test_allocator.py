@@ -1,8 +1,10 @@
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +31,11 @@ from schur_alloc.errors import (
     NotPSD,
     NumericalError,
     SingularComplement,
+    XiOutOfRange,
     ZeroVariance,
 )
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
+from schur_alloc.shrinkage import MIN_GRID_STEP
 from schur_alloc.sim import default_allocation
 
 from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
@@ -124,6 +128,13 @@ class TestConfig:
         with pytest.raises(InputError, match=f"^{name}="):
             AllocationConfig.from_dict({name: value})
 
+    @pytest.mark.parametrize("step", [0.99 * MIN_GRID_STEP, 1e-6])
+    def test_grid_step_below_minimum(self, step):
+        with pytest.raises(XiOutOfRange, match="^shrink_grid_step=.*MIN_GRID_STEP"):
+            AllocationConfig(shrink_grid_step=step)
+        with pytest.raises(XiOutOfRange, match="^shrink_grid_step=.*MIN_GRID_STEP"):
+            AllocationConfig.from_dict({"shrink_grid_step": step})
+
     def test_edge_thresholds_accepted(self):
         cfg = AllocationConfig(eps_pd=0.0, shrink_grid_step=1.0, rcond=0.5, eps_b=0.5)
         assert cfg.eps_pd == 0.0 and cfg.shrink_grid_step == 1.0
@@ -143,6 +154,36 @@ class TestAllocateFootprint:
         cov = random_pd(np.random.default_rng(12), 40)
         allocate(cov, AllocationConfig().with_gamma(gamma))
         assert calls == [(40, 40)]
+
+    @pytest.mark.parametrize("mode", ["hrp", "schur_literal", "schur_debiased"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_no_svd(self, monkeypatch, mode, gamma):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called inside allocate")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        rng = np.random.default_rng(13)
+        t_lt_n = np.cov(rng.standard_normal((30, 60)), rowvar=False)
+        for cov, cfg in ((random_pd(rng, 40), config(mode=mode)),
+                         (t_lt_n, config(mode=mode, terminal_size=1)),
+                         (t_lt_n, replace(default_allocation(), mode=mode))):
+            allocate(cov, cfg.with_gamma(gamma))
+
+    def test_zeroed_gamma_logs_one_warning(self, caplog):
+        # the hard T < n input: one split runs out of halvings and drops to gamma 0
+        cov = np.cov(np.random.default_rng(0).standard_normal((30, 60)), rowvar=False)
+        hard = AllocationConfig(terminal_size=1)
+        with caplog.at_level(logging.WARNING, logger="schur_alloc"):
+            report = allocate(cov, hard.with_gamma(1.0))
+            zeroed = sum(s.gamma_zeroed for s in report.splits)
+            assert zeroed > 0
+            assert [r.levelname for r in caplog.records] == ["WARNING"]
+            assert caplog.records[0].name == "schur_alloc"
+            assert f"gamma zeroed at {zeroed} of {len(report.splits)} splits" in caplog.text
+            caplog.clear()
+            allocate(cov, hard.with_gamma(0.5))
+            allocate(random_pd(np.random.default_rng(1), 30), hard.with_gamma(1.0))
+            assert caplog.records == []
 
     def test_numpy_ma_never_imported(self):
         # numpy.ma adds about 1.5 MB of resident memory to every process that loads it

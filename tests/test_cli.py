@@ -95,6 +95,14 @@ class TestShrink:
         assert main(["shrink", "--cov", str(path), "--out", str(tmp_path / "o.json")]) == 2
 
 
+    @pytest.mark.parametrize("step", ["9.9e-5", "1e-6"])
+    def test_grid_step_below_minimum_exit_2(self, unstable_csv, tmp_path, capsys, step):
+        out = tmp_path / "o.json"
+        assert main(["shrink", "--cov", unstable_csv, "--grid-step", step, "--out", str(out)]) == 2
+        assert "MIN_GRID_STEP" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeriate:
     def test_equicorrelated_identity(self, equi3_csv, tmp_path):
         out = tmp_path / "order.json"

@@ -417,16 +417,29 @@ class TestMaxFeasibleGamma:
                 return False
             return True
 
+        guard = schur.check_conditioning
+
+        def counted_guard(*args):
+            # the guard's own eigvalsh is counted apart from the pencil's
+            counts["guard"] = counts.get("guard", 0) + 1
+            pencil = counts.get("eigvalsh", 0)
+            try:
+                guard(*args)
+            finally:
+                counts["eigvalsh"] = pencil
+
         for name in ("cholesky", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for name in ("schur_complement", "b_vector"):
             monkeypatch.setattr(schur, name, counting(name, getattr(schur, name)))
+        monkeypatch.setattr(schur, "check_conditioning", counted_guard)
         pencils = 0
         for _, cov, k in cap_corpus(12, 3):
             for side in ("A", "D"):
                 counts.clear()
                 sp = split(cov, k)
                 max_feasible_gamma(sp, side)
+                assert counts["guard"] == 1
                 assert counts.get("cholesky", 0) <= 2 and counts.get("eigvalsh", 0) <= 1
                 assert "schur_complement" not in counts and "b_vector" not in counts
                 # the pencil is solved only where the gamma = 1 blend is not PD
@@ -476,40 +489,63 @@ class TestMaxFeasibleGamma:
                 assert np.linalg.eigvalsh(comp).min() > 0.0
 
 
+def recording(calls, fn):
+    """fn, appending the shape of each call's matrix argument to `calls`."""
+    def wrapper(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return fn(matrix, *args, **kwargs)
+    return wrapper
+
+
 class TestSolvedOnce:
     def test_complementary_block_solved_at_most_twice_per_side(self, monkeypatch):
         # both sides of this split are capped, so each side's cap reads S and t
         sp = split(random_pd(np.random.default_rng(3), 7, ridge=0.01), 4)
-        solves = {"A": 0, "D": 0}
-        original = schur.checked_solve
-
-        def counting(matrix, rhs, **kwargs):
-            # the complementary block is a view of the parent; D is 3x3, A is 4x4
-            if np.shares_memory(matrix, sp.parent):
-                solves["A" if matrix.shape[0] == 3 else "D"] += 1
-            return original(matrix, rhs, **kwargs)
-
-        monkeypatch.setattr(schur, "checked_solve", counting)
+        solves = []
+        monkeypatch.setattr(schur, "_solve", recording(solves, schur._solve))
         caps = [max_feasible_gamma(sp, side) for side in ("A", "D")]
         assert max(caps) < 1.0
         gammas = GammaPair(min(caps)).scaled(0.5)
         for side in ("A", "D"):
             augment_intra(sp, side, gammas)
             b_vector(sp, side, gammas.gamma_b)
-        assert solves["A"] <= 2 and solves["D"] <= 2
+        # A's complementary block is 3x3 and D's is 4x4
+        assert solves.count((3, 3)) <= 2 and solves.count((4, 4)) <= 2
+
+    def test_one_guard_per_complementary_block(self, monkeypatch):
+        # the cap, augment_intra and b_vector, with and without a carry, share one
+        # verdict per side; the other guard calls are on the augmented matrices
+        sp = split(random_pd(np.random.default_rng(8), 9, ridge=0.01), 5)
+        guarded = {"A": 0, "D": 0}
+        guard = schur.check_conditioning
+
+        def counting(matrix, *args):
+            if np.shares_memory(matrix, sp.parent):
+                guarded["A" if matrix.shape[0] == 4 else "D"] += 1
+            return guard(matrix, *args)
+
+        monkeypatch.setattr(schur, "check_conditioning", counting)
+        carry = np.random.default_rng(9).uniform(0.5, 1.5, 9)
+        cap = min(max_feasible_gamma(sp, side) for side in ("A", "D"))
+        assert 0.0 < cap
+        for gammas in (GammaPair(0.5 * cap), GammaPair(0.25 * cap, 0.5 * cap)):
+            for side in ("A", "D"):
+                augment_intra(sp, side, gammas)
+                b_vector(sp, side, gammas.gamma_b)
+                b_vector(sp, side, gammas.gamma_b, carry=carry)
+        assert guarded == {"A": 1, "D": 1}
 
     def test_singular_complementary_block_caps_at_zero(self, monkeypatch):
         cov = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         sp = split(cov, 1)
-        original = schur.checked_solve
-        calls = []
-
-        def counting(matrix, rhs, **kwargs):
-            calls.append(matrix.shape)
-            return original(matrix, rhs, **kwargs)
-
-        monkeypatch.setattr(schur, "checked_solve", counting)
+        solves, guards = [], []
+        monkeypatch.setattr(schur, "_solve", recording(solves, schur._solve))
+        monkeypatch.setattr(schur, "check_conditioning", recording(guards, schur.check_conditioning))
         assert max_feasible_gamma(sp, "A") == 0.0
-        assert calls == [(2, 2)]
+        assert guards == [(2, 2)] and solves == []
+        # the kept verdict fails every later use of the block, without a second guard
         with pytest.raises(SingularComplementBlock):
             augment_intra(sp, "A", GammaPair(0.5))
+        with pytest.raises(SingularComplementBlock):
+            b_vector(sp, "A", 0.5, carry=np.ones(3))
+        assert guards == [(2, 2)] and solves == []

@@ -10,7 +10,7 @@ from schur_alloc._linalg import DEFAULT_RCOND
 from schur_alloc.covmat import cov_values
 from schur_alloc.errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix
-from schur_alloc.shrinkage import DEFAULT_GRID_STEP, ShrinkageResult
+from schur_alloc.shrinkage import DEFAULT_GRID_STEP, MIN_GRID_STEP, ShrinkageResult
 
 from conftest import UNSTABLE_4X4, random_pd
 
@@ -196,6 +196,12 @@ class TestWeakShrink:
     def test_grid_step_validated(self, unstable_4x4):
         with pytest.raises(XiOutOfRange):
             weak_shrink(unstable_4x4, grid_step=0.0)
+
+    @pytest.mark.parametrize("step", [0.99 * MIN_GRID_STEP, 1e-6])
+    def test_grid_step_below_minimum_rejected(self, unstable_4x4, step):
+        # a finer step would build (1 / step + 1) x n arrays
+        with pytest.raises(XiOutOfRange, match="MIN_GRID_STEP"):
+            weak_shrink(unstable_4x4, grid_step=step)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_variance_rejected(self, bad):
