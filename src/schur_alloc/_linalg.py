@@ -22,10 +22,10 @@ def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
     """Raise `exc` on a 1x1 pivot |p| <= rcond, or on |lambda|_min / |lambda|_max < rcond.
 
     `matrix` must be symmetric; only its lower triangle is read. A NaN
-    eigenvalue fails the test.
+    pivot or eigenvalue fails the test.
     """
     if matrix.shape[0] == 1:
-        if abs(matrix[0, 0]) <= rcond:
+        if not abs(matrix[0, 0]) > rcond:
             raise exc("1x1 system with near-zero pivot")
         return
     magnitudes = np.abs(np.linalg.eigvalsh(matrix))

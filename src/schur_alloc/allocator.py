@@ -171,24 +171,23 @@ class AllocationReport:
     labels: list[str] | None = None
 
 
-def _terminal_weights(block: np.ndarray, config: AllocationConfig) -> np.ndarray:
+def _terminal_weights(block: np.ndarray,
+                      config: AllocationConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """A terminal block's weights, and `weak_shrink(block).weights` (or None) for its fitness."""
     n = block.shape[0]
-    if n == 1:
-        return np.ones(1)
+    if n == 1 or config.terminal == "equal_weight":
+        return np.full(n, 1.0 / n), None
     if config.terminal == "minvar":
-        return _min_var_unit(block, config.rcond)
+        return _min_var_unit(block, config.rcond), None
     if config.terminal == "weak_minvar":
-        shrunk = weak_shrink(block, grid_step=config.shrink_grid_step,
-                             rcond=config.rcond).shrunk
-        return _min_var_unit(shrunk, config.rcond)
-    if config.terminal == "equal_weight":
-        return np.full(n, 1.0 / n)
+        result = weak_shrink(block, grid_step=config.shrink_grid_step, rcond=config.rcond)
+        return _min_var_unit(result.shrunk, config.rcond), result.weights
     if config.terminal == "inverse_variance":
         diag = np.diag(block)
         if diag.min() <= 0.0:
             raise ZeroVariance("inverse-variance terminal needs positive variances")
         inv = 1.0 / diag
-        return inv / inv.sum()
+        return inv / inv.sum(), None
     raise InputError(f"unknown terminal {config.terminal!r}")
 
 
@@ -228,7 +227,7 @@ def _couple(block: np.ndarray, k: int, config: AllocationConfig):
 
 
 def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
-             diagnostics: list[SplitDiagnostics]) -> np.ndarray:
+             diagnostics: list[SplitDiagnostics]) -> tuple[np.ndarray, np.ndarray | None]:
     n = block.shape[0]
     if n <= config.terminal_size:
         return _terminal_weights(block, config)
@@ -236,12 +235,13 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
     effective, halvings, gamma_zeroed, parts = _couple(block, k, config)
     (a_intra, d_intra), (b_head, b_tail) = parts
 
-    w_head = _recurse(a_intra, offset, config, diagnostics)
-    w_tail = _recurse(d_intra, offset + k, config, diagnostics)
-
-    nu_head = _fitness(a_intra, config.fitness, w_head, config.shrink_grid_step, config.rcond)
-    nu_tail = _fitness(d_intra, config.fitness, w_tail, config.shrink_grid_step, config.rcond)
-
+    w_head, shrunk_head = _recurse(a_intra, offset, config, diagnostics)
+    w_tail, shrunk_tail = _recurse(d_intra, offset + k, config, diagnostics)
+    step, rcond = config.shrink_grid_step, config.rcond
+    nu_head = _fitness(a_intra, config.fitness, w_head, step, rcond, shrunk_head)
+    nu_tail = _fitness(d_intra, config.fitness, w_tail, step, rcond, shrunk_tail)
+    if not (nu_head > 0.0 and nu_tail > 0.0):
+        raise NotPSD(f"a split's inverse fitness is not positive: {nu_head!r}, {nu_tail!r}")
     if config.mode == "schur_debiased":
         w_head, w_tail = w_head / b_head, w_tail / b_tail
 
@@ -256,7 +256,7 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
         b_max=float(max(b_head.max(), b_tail.max())),
         halvings=halvings, gamma_zeroed=gamma_zeroed,
     ))
-    return combined
+    return combined, None
 
 
 def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
@@ -278,7 +278,7 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
 
     diagnostics: list[SplitDiagnostics] = []
     try:
-        weights = _recurse(ordered, 0, config, diagnostics)
+        weights, _ = _recurse(ordered, 0, config, diagnostics)
     except ZeroVariance as exc:
         raise NotPSD("a block derived from the covariance has a non-positive variance") from exc
     zeroed = sum(s.gamma_zeroed for s in diagnostics)

@@ -96,8 +96,9 @@ def fitness(cov, kind: str, child_weights=None,
     return _fitness(cov_values(cov), kind, child_weights, shrink_grid_step, rcond)
 
 
-def _fitness(values: np.ndarray, kind: str, child_weights,
-             shrink_grid_step: float, rcond: float) -> float:
+def _fitness(values: np.ndarray, kind: str, child_weights, shrink_grid_step: float,
+             rcond: float, shrunk_weights: np.ndarray | None = None) -> float:
+    """`fitness` of trusted values; `shrunk_weights`, if given, is `weak_shrink(values).weights`."""
     if kind == "subportfolio_variance":
         if child_weights is None:
             raise InputError("subportfolio_variance requires child weights")
@@ -107,8 +108,9 @@ def _fitness(values: np.ndarray, kind: str, child_weights,
         x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
         return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
-        result = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond)
-        return _portfolio_variance(values, result.weights)
+        if shrunk_weights is None:
+            shrunk_weights = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond).weights
+        return _portfolio_variance(values, shrunk_weights)
     if kind == "diag_sum_squares":
         return float(np.sum(np.diag(values) ** 2))
     raise InputError(f"unknown fitness kind {kind!r}; expected one of {FITNESS_KINDS}")

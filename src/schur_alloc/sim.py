@@ -17,7 +17,7 @@ DEFAULT_GAMMA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def default_allocation() -> AllocationConfig:
-    # Weak shrinkage enters twice: in the fitness and in the terminal portfolio.
+    # One weak shrinkage per terminal block serves its weights and its parent's fitness.
     return AllocationConfig(mode="schur_debiased", fitness="weak_minvar_variance",
                             terminal="weak_minvar", terminal_size=5)
 

@@ -24,7 +24,7 @@ from schur_alloc import (
     schur_complement,
     split,
 )
-from schur_alloc import covmat
+from schur_alloc import allocator, covmat, fitness, portfolio, shrinkage
 from schur_alloc.errors import (
     DimensionMismatch,
     InputError,
@@ -36,7 +36,7 @@ from schur_alloc.errors import (
 )
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
 from schur_alloc.shrinkage import MIN_GRID_STEP
-from schur_alloc.sim import default_allocation
+from schur_alloc.sim import PROFILES, default_allocation
 
 from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
 
@@ -49,6 +49,15 @@ def config(**kwargs) -> AllocationConfig:
     defaults = dict(terminal="minvar", terminal_size=1, seriation="identity")
     defaults.update(kwargs)
     return AllocationConfig(**defaults)
+
+
+def desk_estimate(trial: int = 0) -> covmat.CovarianceMatrix:
+    """A p = 40, T = 30 estimate drawn as one trial of the desk simulation profile."""
+    desk = PROFILES["desk"]
+    rng = np.random.default_rng([0, trial])
+    anchor = covmat.rand_symm_cov(desk["p"], desk["rho"], rng)
+    sigma_true = covmat.empirical_covariance(covmat.sample_gaussian(anchor, desk["a"], rng))
+    return covmat.empirical_covariance(covmat.sample_gaussian(sigma_true, desk["o"], rng))
 
 
 def table1_reference_weights(cov: np.ndarray, k: int, mode: str) -> np.ndarray:
@@ -169,6 +178,47 @@ class TestAllocateFootprint:
                          (t_lt_n, replace(default_allocation(), mode=mode))):
             allocate(cov, cfg.with_gamma(gamma))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_terminal_block_shrunk_once(self, monkeypatch, gamma):
+        # a weak_minvar terminal's shrinkage serves its parent's weak_minvar_variance
+        # fitness: 8 terminals and 7 splits make 14 calls, not 8 + 14
+        inputs = []
+
+        def counted(cov, *args, **kwargs):
+            values = np.asarray(cov)
+            inputs.append((values.shape, values.tobytes()))
+            return shrink(cov, *args, **kwargs)
+
+        shrink = shrinkage.weak_shrink
+        monkeypatch.setattr(allocator, "weak_shrink", counted)
+        monkeypatch.setattr(portfolio, "weak_shrink", counted)
+        report = allocate(desk_estimate(), default_allocation().with_gamma(gamma))
+        assert len(report.splits) == 7
+        assert len(inputs) == 14
+        assert len(set(inputs)) == len(inputs)
+
+    def test_terminal_shrinkage_reaches_its_own_fitness(self, monkeypatch):
+        # each child's nu, handed a terminal's shrunk weights or not, must equal the public
+        # fitness of that very block: a result handed to the wrong side would differ
+        recorded = []
+
+        def recording(values, kind, child_weights, step, rcond, handed=None):
+            nu = fit(values, kind, child_weights, step, rcond, handed)
+            recorded.append((values, handed, step, rcond, nu))
+            return nu
+
+        fit = allocator._fitness
+        monkeypatch.setattr(allocator, "_fitness", recording)
+        cfg = default_allocation()
+        for trial in (0, 1):
+            for gamma in (0.0, 0.5, 1.0):
+                allocate(desk_estimate(trial), cfg.with_gamma(gamma))
+        assert len(recorded) == 2 * 3 * 14
+        for values, handed, step, rcond, nu in recorded:
+            assert (handed is not None) == (1 < values.shape[0] <= cfg.terminal_size)
+            fresh = fitness(values, "weak_minvar_variance", shrink_grid_step=step, rcond=rcond)
+            assert nu == fresh
+
     def test_zeroed_gamma_logs_one_warning(self, caplog):
         # the hard T < n input: one split runs out of halvings and drops to gamma 0
         cov = np.cov(np.random.default_rng(0).standard_normal((30, 60)), rowvar=False)
@@ -248,6 +298,17 @@ class TestAllocateGoldenVectors:
             allocate(cov, AllocationConfig(gammas=1.0, adaptive_cap=False, terminal=terminal))
         assert isinstance(info.value, NumericalError)
         assert isinstance(info.value.__cause__, ZeroVariance)
+
+    @pytest.mark.parametrize("seed, terminal_size", [(7, 1), (0, 5)])
+    def test_non_positive_fitness_is_numerical(self, seed, terminal_size):
+        # T < n with the cap off, a split's inverse fitness comes out 0 or slightly
+        # negative: seed 7 drops a 2x2 block to gamma 0 whose 1x1 halves give nu 0.0
+        # and -6.8e-18 (all-NaN weights before), seed 0 gives -8.6e-19 and -5.9e-19
+        # at the top split (finite weights built on them before)
+        cov = np.cov(np.random.default_rng(seed).standard_normal((4, 6)), rowvar=False)
+        cfg = AllocationConfig(gammas=1.0, adaptive_cap=False, terminal_size=terminal_size)
+        with pytest.raises(NotPSD, match="inverse fitness is not positive"):
+            allocate(cov, cfg)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):
