@@ -107,10 +107,7 @@ class AllocationConfig:
     shrink_grid_step: float = 0.001
 
     def __post_init__(self):
-        if isinstance(self.gammas, (tuple, list)):
-            self.gammas = GammaPair(*self.gammas)
-        elif isinstance(self.gammas, (int, float)):
-            self.gammas = GammaPair(float(self.gammas))
+        self.gammas = GammaPair.coerce(self.gammas)
         if self.mode not in MODES:
             raise InputError(f"mode {self.mode!r} not one of {MODES}")
         if self.fitness not in FITNESS_KINDS:
@@ -173,7 +170,8 @@ class AllocationReport:
 
 def _terminal_weights(block: np.ndarray,
                       config: AllocationConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """A terminal block's weights, and `weak_shrink(block).weights` (or None) for its fitness."""
+    """A terminal block's weights, and `weak_shrink(block).weights` (or None) for its fitness:
+    a `weak_minvar` block's weights are that vector, factored and judged once by weak_shrink."""
     n = block.shape[0]
     if n == 1 or config.terminal == "equal_weight":
         return np.full(n, 1.0 / n), None
@@ -181,7 +179,7 @@ def _terminal_weights(block: np.ndarray,
         return _min_var_unit(block, config.rcond), None
     if config.terminal == "weak_minvar":
         result = weak_shrink(block, grid_step=config.shrink_grid_step, rcond=config.rcond)
-        return _min_var_unit(result.shrunk, config.rcond), result.weights
+        return result.weights, result.weights
     if config.terminal == "inverse_variance":
         diag = np.diag(block)
         if diag.min() <= 0.0:
@@ -291,7 +289,7 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
                             config=config, labels=cov.labels)
 
 
-def allocate_exact(cov, b=None, gammas: GammaPair | float = 1.0, m: int = 1,
+def allocate_exact(cov, b=None, gammas: GammaPair | float | tuple | list = 1.0, m: int = 1,
                    split_at: Callable[[int], int] | None = None,
                    rcond: float = DEFAULT_RCOND) -> ScaledSolution:
     """Constraint-propagating recursion; equals Sigma^-1 b exactly at gamma = 1.
@@ -301,8 +299,7 @@ def allocate_exact(cov, b=None, gammas: GammaPair | float = 1.0, m: int = 1,
     """
     values = cov_values(cov)
     n = values.shape[0]
-    if isinstance(gammas, (int, float)):
-        gammas = GammaPair(float(gammas))
+    gammas = GammaPair.coerce(gammas)
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     if b is None:

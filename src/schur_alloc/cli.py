@@ -93,14 +93,12 @@ def cmd_allocate(args) -> int:
 def cmd_shrink(args) -> int:
     cov = _load_cov(args)
     result = weak_shrink(cov, grid_step=args.grid_step)
-    base = args.out or "shrink"
-    if base.endswith(".json"):
-        base = base[:-5]
+    base = (args.out or "shrink").removesuffix(".json")
     payload = {
         "xi": result.xi,
         "weights": result.weights.tolist(),
         "clipped_variance": result.clipped_variance,
-        "skipped_xi": result.skipped,
+        "skipped_xi": result.skipped.tolist(),
         "shrunk_csv": f"{base}_shrunk.csv",
         "curve_csv": f"{base}_curve.csv",
     }
@@ -134,16 +132,9 @@ def cmd_simulate(args) -> int:
             config = ExperimentConfig.from_dict(json.load(handle))
     else:
         base = dict(PROFILES[args.profile])
-        if args.p is not None:
-            base["p"] = args.p
-        if args.rho is not None:
-            base["rho"] = args.rho
-        if args.a is not None:
-            base["a"] = args.a
-        if args.o is not None:
-            base["o"] = args.o
-        if args.trials is not None:
-            base["trials"] = args.trials
+        for key in ("p", "rho", "a", "o", "trials"):
+            if getattr(args, key) is not None:
+                base[key] = getattr(args, key)
         config = ExperimentConfig(
             gamma_grid=_parse_gamma_grid(args.gamma_grid),
             seed=args.seed, **base,

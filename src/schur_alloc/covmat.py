@@ -64,10 +64,6 @@ class ReturnsPanel:
         if self.labels is not None and len(self.labels) != self.values.shape[1]:
             raise DimensionMismatch("label count does not match column count")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
 
 def cov_values(cov) -> np.ndarray:
     """Coerce a CovarianceMatrix or array-like to a validated ndarray."""
@@ -168,6 +164,19 @@ def _is_numeric_row(row: list[str]) -> bool:
     return True
 
 
+def _numeric_rows(path, rows: list[list[str]], what: str) -> np.ndarray:
+    """Data rows as a float array: DimensionMismatch names the first row whose
+    length differs from the first row's, NonFiniteInput a non-numeric entry."""
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise DimensionMismatch(f"{path}: row {number} of the {what} data has "
+                                    f"{len(row)} entries, row 1 has {len(rows[0])}")
+    try:
+        return np.array([[float(cell) for cell in row] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise NonFiniteInput(f"{path}: non-numeric {what} entry ({exc})")
+
+
 def read_matrix_csv(path) -> CovarianceMatrix:
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
@@ -177,11 +186,7 @@ def read_matrix_csv(path) -> CovarianceMatrix:
     if not _is_numeric_row(rows[0]):
         labels = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
-    try:
-        values = np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError as exc:
-        raise NonFiniteInput(f"{path}: non-numeric matrix entry ({exc})")
-    return CovarianceMatrix(values, labels)
+    return CovarianceMatrix(_numeric_rows(path, rows, "matrix"), labels)
 
 
 def write_matrix_csv(path, cov: CovarianceMatrix | np.ndarray) -> None:
@@ -201,8 +206,4 @@ def read_returns_csv(path) -> ReturnsPanel:
     if len(rows) < 2:
         raise TooFewSamples(f"{path}: need a header row and at least one data row")
     labels = [cell.strip() for cell in rows[0]]
-    try:
-        values = np.array([[float(cell) for cell in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise NonFiniteInput(f"{path}: non-numeric return entry ({exc})")
-    return ReturnsPanel(values, labels)
+    return ReturnsPanel(_numeric_rows(path, rows[1:], "return"), labels)

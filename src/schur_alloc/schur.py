@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -55,6 +56,21 @@ class GammaPair:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise InputError(f"{name}={value} outside [0, 1]")
+
+    @classmethod
+    def coerce(cls, value) -> "GammaPair":
+        """`value` as a GammaPair: itself, one real number, or a (gamma_c[, gamma_b]) tuple or
+        list whose gamma_b may be None. Anything else raises InputError."""
+        if isinstance(value, cls):
+            return value
+        parts = list(value) if isinstance(value, (tuple, list)) else [value]
+        if len(parts) == 2 and parts[1] is None:
+            parts.pop()
+        if 0 < len(parts) <= 2 and all(isinstance(p, Real) and not isinstance(p, bool)
+                                       for p in parts):
+            return cls(*map(float, parts))
+        raise InputError(f"gammas needs a GammaPair, a number or a (gamma_c, gamma_b) pair, "
+                         f"got {type(value).__name__} {value!r}")
 
     @property
     def zero(self) -> bool:

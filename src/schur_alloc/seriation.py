@@ -36,12 +36,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.order)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.order)
-        for pos, orig in enumerate(self.order):
-            inv[orig] = pos
-        return Permutation(tuple(inv))
-
 
 def correlation_distance(cov) -> np.ndarray:
     """d_ij = sqrt(0.5 * (1 - rho_ij)), zero diagonal, entries in [0, 1].
@@ -79,11 +73,9 @@ def seriate(cov, method: str = "single_linkage") -> Permutation:
     """
     values = cov_values(cov)
     n = values.shape[0]
-    if method == "identity":
-        return Permutation(tuple(range(n)))
-    if method != "single_linkage":
+    if method not in SERIATION_METHODS:
         raise InputError(f"unknown seriation method {method!r}")
-    if n <= 2:
+    if method == "identity" or n <= 2:
         return Permutation(tuple(range(n)))
     return Permutation(tuple(_single_linkage_order(correlation_distance(cov))))
 

@@ -26,8 +26,9 @@ class ShrinkageResult:
     shrunk: np.ndarray
     weights: np.ndarray          # min-var weights of the shrunk matrix (may be slightly short)
     clipped_variance: float      # variance of the clipped weights under the ORIGINAL matrix
-    curve: list[tuple[float, float]] = field(default_factory=list)   # (xi, clipped variance)
-    skipped: list[float] = field(default_factory=list)               # grid points that failed to solve
+    # rows (xi, clipped variance) of the grid points that solved, and the xi of those that did not
+    curve: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    skipped: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def scale_off_diagonal(cov, xi: float) -> np.ndarray:
@@ -102,9 +103,9 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     xi = float(grid[best])
     return ShrinkageResult(
         xi=xi,
-        shrunk=grid[best] * values + (1.0 - grid[best]) * np.diag(variances_diag),
+        shrunk=scale_off_diagonal(values, xi),
         weights=x[best] / denom[best],
         clipped_variance=float(variances[best]),
-        curve=list(zip(grid[valid].tolist(), variances[valid].tolist())),
-        skipped=grid[~valid].tolist(),
+        curve=np.column_stack((grid[valid], variances[valid])),
+        skipped=grid[~valid],
     )

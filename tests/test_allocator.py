@@ -148,6 +148,20 @@ class TestConfig:
         cfg = AllocationConfig(eps_pd=0.0, shrink_grid_step=1.0, rcond=0.5, eps_b=0.5)
         assert cfg.eps_pd == 0.0 and cfg.shrink_grid_step == 1.0
 
+    @pytest.mark.parametrize("gammas", [(0.6, 0.2), [0.6, 0.2], 0.6, [0.6], (0.6, None)])
+    def test_gammas_coerced_once(self, gammas):
+        expected = GammaPair(*gammas) if isinstance(gammas, (tuple, list)) else GammaPair(gammas)
+        assert GammaPair.coerce(gammas) == expected
+        assert AllocationConfig(gammas=gammas).gammas == expected
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, {}, (), (0.1, 0.2, 0.3), ("0.5",),
+                                     (None,), (0.5, True)])
+    def test_bad_gammas(self, bad):
+        with pytest.raises(InputError, match="^gammas needs"):
+            AllocationConfig(gammas=bad)
+        with pytest.raises(InputError, match="^gammas needs"):
+            allocate_exact(random_pd(np.random.default_rng(0), 4), gammas=bad)
+
 
 class TestAllocateFootprint:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -204,7 +218,7 @@ class TestAllocateFootprint:
 
         def recording(values, kind, child_weights, step, rcond, handed=None):
             nu = fit(values, kind, child_weights, step, rcond, handed)
-            recorded.append((values, handed, step, rcond, nu))
+            recorded.append((values, child_weights, handed, step, rcond, nu))
             return nu
 
         fit = allocator._fitness
@@ -214,10 +228,27 @@ class TestAllocateFootprint:
             for gamma in (0.0, 0.5, 1.0):
                 allocate(desk_estimate(trial), cfg.with_gamma(gamma))
         assert len(recorded) == 2 * 3 * 14
-        for values, handed, step, rcond, nu in recorded:
+        for values, child_weights, handed, step, rcond, nu in recorded:
             assert (handed is not None) == (1 < values.shape[0] <= cfg.terminal_size)
+            if handed is not None:
+                # a weak terminal's weights are the very vector it hands up
+                assert child_weights.tobytes() == handed.tobytes()
             fresh = fitness(values, "weak_minvar_variance", shrink_grid_step=step, rcond=rcond)
             assert nu == fresh
+
+    @pytest.mark.parametrize("samples", [30, 12])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_ill_scaled_sample_covariance_allocates(self, samples, gamma):
+        # variances spread over 1e-12..1e12: a weak terminal is judged only by
+        # weak_shrink's correlation-form test, never on the raw block's scale
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((samples, 20))
+        cov = np.cov(x, rowvar=False)
+        vol = 10.0 ** rng.uniform(-6, 6, 20)
+        cov *= np.outer(vol, vol)
+        weights = allocate(cov, default_allocation().with_gamma(gamma)).weights
+        assert np.all(np.isfinite(weights))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zeroed_gamma_logs_one_warning(self, caplog):
         # the hard T < n input: one split runs out of halvings and drops to gamma 0
@@ -497,6 +528,15 @@ class TestAllocateExact:
         direct = np.linalg.solve(cov, b)
         np.testing.assert_allclose(sol.values, direct, atol=1e-8)
         assert sol.weights @ b == pytest.approx(1.0)
+
+    def test_gammas_of_any_accepted_form(self):
+        cov = random_pd(np.random.default_rng(14), 7)
+        expected = allocate_exact(cov, gammas=GammaPair(0.6)).weights
+        for gammas in ((0.6, 0.6), [0.6, 0.6], 0.6, [0.6]):
+            np.testing.assert_array_equal(allocate_exact(cov, gammas=gammas).weights, expected)
+        pair = allocate_exact(cov, gammas=GammaPair(0.6, 0.2)).weights
+        for gammas in ((0.6, 0.2), [0.6, 0.2]):
+            np.testing.assert_array_equal(allocate_exact(cov, gammas=gammas).weights, pair)
 
     def test_scaled_solution_identity(self):
         rng = np.random.default_rng(11)

@@ -59,6 +59,16 @@ class TestAllocate:
         recomputed = portfolio_variance(cov, np.asarray(payload["weights"]))
         assert abs(recomputed - payload["diagnostics"]["variance"]) < 1e-12
 
+    @pytest.mark.parametrize("flag, text", [("--cov", "1,0.5\n0.5\n"),
+                                            ("--returns", "a,b\n0.1,0.2\n0.3\n")])
+    def test_ragged_rows_exit_2(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        out = tmp_path / "w.json"
+        assert main(["allocate", flag, str(path), "--out", str(out)]) == 2
+        assert "row 2 of the" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_returns_input(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((40, 3))
@@ -88,6 +98,17 @@ class TestShrink:
         out = tmp_path / "shrink.json"
         assert main(["shrink", "--cov", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["xi"] == 0.0
+
+    def test_rank_deficient_report_lists_skipped_grid(self, tmp_path):
+        # 3 samples of 4 assets: the sample covariance is singular at xi = 1 only
+        cov = np.cov(np.random.default_rng(1).standard_normal((3, 4)), rowvar=False)
+        path = tmp_path / "cov.csv"
+        path.write_text("\n".join(",".join(f"{x:.17g}" for x in row) for row in cov) + "\n")
+        out = tmp_path / "shrink.json"
+        assert main(["shrink", "--cov", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["skipped_xi"] == [1.0]
+        curve = (tmp_path / "shrink_curve.csv").read_text().splitlines()
+        assert len(curve) == 1 + 1000
 
     def test_non_square_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -169,3 +169,24 @@ class TestCsv:
         panel = read_returns_csv(path)
         assert panel.labels == ["x", "y"]
         assert panel.values.shape == (3, 2)
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_matrix_csv, "1,0.5\n0.5\n"),
+        (read_matrix_csv, "a,b\n1,0.5\n0.5,1,0\n"),
+        (read_returns_csv, "x,y\n0.1,0.2\n0.3\n0.1,0.2\n"),
+    ])
+    def test_ragged_rows_named(self, tmp_path, reader, text):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match="row 2 of the .* data has .* row 1 has 2"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_matrix_csv, "1,0.5\n0.5,x\n"),
+        (read_returns_csv, "x,y\n0.1,0.2\n0.3,?\n"),
+    ])
+    def test_non_numeric_entry(self, tmp_path, reader, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(NonFiniteInput, match="non-numeric"):
+            reader(path)

@@ -213,11 +213,17 @@ class TestWeakShrink:
             expected = _reference_weak_shrink(cov)
             result = weak_shrink(cov)
             assert result.xi == expected.xi
-            assert result.skipped == expected.skipped
+            np.testing.assert_array_equal(result.skipped, expected.skipped, strict=True)
             np.testing.assert_array_equal(result.shrunk, expected.shrunk)
             scale = np.abs(expected.weights).max()
             np.testing.assert_allclose(result.weights, expected.weights,
                                        rtol=0, atol=1e-9 * scale)
+            # curve and skipped are float arrays; the reference scores its own LU solves' weights
+            assert isinstance(result.curve, np.ndarray) and isinstance(result.skipped, np.ndarray)
+            curve = np.array(expected.curve, dtype=float).reshape(-1, 2)
+            assert result.curve.shape == curve.shape
+            np.testing.assert_array_equal(result.curve[:, 0], curve[:, 0], strict=True)
+            np.testing.assert_allclose(result.curve[:, 1], curve[:, 1], rtol=1e-7, atol=0)
 
     @pytest.mark.parametrize("decades", [6, 7])
     def test_ill_scaled_variances_keep_every_grid_point(self, decades):
@@ -228,7 +234,7 @@ class TestWeakShrink:
         variances = np.logspace(-decades, decades, n)
         cov = rescaled(random_pd(rng, n, ridge=0.1), np.sqrt(variances))
         result = weak_shrink(cov)
-        assert result.skipped == []
+        np.testing.assert_array_equal(result.skipped, np.empty(0), strict=True)
         assert np.all(np.isfinite(result.weights))
         if decades == 7:
             with pytest.raises(NoFeasibleXi):
