@@ -19,18 +19,15 @@ DEFAULT_RCOND = 1e-12
 
 def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
                        exc: type[NumericalError] = NumericalError) -> None:
-    """Raise `exc` on a 1x1 pivot |p| <= rcond, or on |lambda|_min / |lambda|_max < rcond.
+    """Raise `exc` when |lambda|_min / |lambda|_max < rcond, or when |lambda|_max
+    is zero, NaN or subnormal: a ratio test, so Sigma and c * Sigma get one verdict
+    at every size, and a 1x1 matrix that passes has a finite reciprocal.
 
-    `matrix` must be symmetric; only its lower triangle is read. A NaN
-    pivot or eigenvalue fails the test.
+    `matrix` must be symmetric; only its lower triangle is read.
     """
-    if matrix.shape[0] == 1:
-        if not abs(matrix[0, 0]) > rcond:
-            raise exc("1x1 system with near-zero pivot")
-        return
     magnitudes = np.abs(np.linalg.eigvalsh(matrix))
     largest, smallest = magnitudes.max(), magnitudes.min()
-    if not largest > 0.0 or smallest / largest < rcond:
+    if not largest >= np.finfo(float).tiny or smallest / largest < rcond:
         raise exc(
             f"matrix is singular or ill-conditioned (rcond ~ "
             f"{smallest / max(largest, np.finfo(float).tiny):.2e})"

@@ -49,9 +49,9 @@ class ScaledSolution:
 
 def budget(b: np.ndarray, x: np.ndarray, rcond: float,
            exc: type[NumericalError], message: str) -> float:
-    """b' x, raising `exc` when it vanishes against the size of x."""
+    """b' x, raising `exc` when |b' x| <= rcond * sum|x|, a ratio that reads no units."""
     denom = float(b @ x)
-    if abs(denom) <= rcond * max(1.0, float(np.abs(x).sum())):
+    if abs(denom) <= rcond * float(np.abs(x).sum()):
         raise exc(message)
     return denom
 

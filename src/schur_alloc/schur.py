@@ -194,9 +194,9 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     """Augmented matrix A'' = A^c / (b b'), an exact copy of the raw block at gamma = 0.
 
     Otherwise raises DegenerateBVector on an |b| entry below eps_b, and
-    SingularComplement, the allocator's cue to halve gamma, when the side is
-    ill-conditioned: a 1x1 side on either pivot of (A^c^-1 * b b')^-1, a
-    larger one when |lambda|_min / |lambda|_max of A'' falls below rcond.
+    SingularComplement, the allocator's cue to halve gamma, when A'' fails
+    check_conditioning, whose ratio test gives Sigma and c * Sigma one verdict
+    at every size: a 1x1 side fails only on a zero, NaN or subnormal A^c / b^2.
     """
     if gammas.zero:
         return _own_and_other(sp, side)[0].copy()
@@ -205,11 +205,7 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     if np.abs(b).min() < eps_b:
         raise DegenerateBVector(f"|b| entry below {eps_b} before pointwise division")
     intra = comp / np.outer(b, b)
-    if intra.shape[0] == 1:
-        check_conditioning(comp, rcond, SingularComplement)
-        check_conditioning((1.0 / comp) * (b * b), rcond, SingularComplement)
-    else:
-        check_conditioning(intra, rcond, SingularComplement)
+    check_conditioning(intra, rcond, SingularComplement)
     return intra
 
 

@@ -36,6 +36,11 @@ def scale_off_diagonal(cov, xi: float) -> np.ndarray:
     values = cov_values(cov)
     if not (0.0 <= xi <= 1.0):
         raise XiOutOfRange(f"xi={xi} outside [0, 1]")
+    return _scale_off_diagonal(values, xi)
+
+
+def _scale_off_diagonal(values: np.ndarray, xi: float) -> np.ndarray:
+    """`scale_off_diagonal` of validated values and an xi in [0, 1]."""
     return xi * values + (1.0 - xi) * np.diag(np.diag(values))
 
 
@@ -66,7 +71,8 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     of R solves every grid point. A grid point is skipped and recorded when
     the spectrum 1 - xi + xi * lambda has min|.| / max|.| below `rcond` (a
     conditioning test on the correlation form, blind to the variances'
-    scale), or when its portfolio has no usable budget or no positive weight.
+    scale), when its x = shrunk^-1 1 has |1' x| <= rcond * sum|x| (a ratio
+    that reads no units either), or when it has no positive weight.
     """
     check_grid_step(grid_step)
     values = cov_values(cov)
@@ -85,9 +91,7 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     with np.errstate(divide="ignore", invalid="ignore"):
         x = ((u / spec) @ q.T) / s
         denom = x.sum(axis=1)
-        valid &= np.isfinite(denom) & (
-            np.abs(denom) > rcond * np.maximum(1.0, np.abs(x).sum(axis=1))
-        )
+        valid &= np.isfinite(denom) & (np.abs(denom) > rcond * np.abs(x).sum(axis=1))
         weights = np.where(valid[:, None], x / denom[:, None], np.nan)
     clipped = np.where(weights > 0.0, weights, 0.0)
     mass = clipped.sum(axis=1)
@@ -103,7 +107,7 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     xi = float(grid[best])
     return ShrinkageResult(
         xi=xi,
-        shrunk=scale_off_diagonal(values, xi),
+        shrunk=_scale_off_diagonal(values, xi),
         weights=x[best] / denom[best],
         clipped_variance=float(variances[best]),
         curve=np.column_stack((grid[valid], variances[valid])),

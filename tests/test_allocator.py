@@ -173,10 +173,17 @@ class TestAllocateFootprint:
             calls.append(values.shape)
             return validate(values)
 
+        desk = desk_estimate().values
         monkeypatch.setattr(covmat, "_validated_square", counted)
         cov = random_pd(np.random.default_rng(12), 40)
         allocate(cov, AllocationConfig().with_gamma(gamma))
         assert calls == [(40, 40)]
+        # the paper's configuration: the input once, then each of the 14 weak_shrink
+        # calls once on its own block, not again when it builds the shrunk matrix
+        calls.clear()
+        report = allocate(desk, default_allocation().with_gamma(gamma))
+        assert len(report.splits) == 7
+        assert calls[0] == (40, 40) and len(calls) == 15
 
     @pytest.mark.parametrize("mode", ["hrp", "schur_literal", "schur_debiased"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -251,9 +258,11 @@ class TestAllocateFootprint:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zeroed_gamma_logs_one_warning(self, caplog):
-        # the hard T < n input: one split runs out of halvings and drops to gamma 0
+        # the hard T < n input without the cap: one split runs out of halvings and
+        # drops to gamma 0; with the cap no split does
         cov = np.cov(np.random.default_rng(0).standard_normal((30, 60)), rowvar=False)
-        hard = AllocationConfig(terminal_size=1)
+        capped = AllocationConfig(terminal_size=1)
+        hard = replace(capped, adaptive_cap=False)
         with caplog.at_level(logging.WARNING, logger="schur_alloc"):
             report = allocate(cov, hard.with_gamma(1.0))
             zeroed = sum(s.gamma_zeroed for s in report.splits)
@@ -262,7 +271,8 @@ class TestAllocateFootprint:
             assert caplog.records[0].name == "schur_alloc"
             assert f"gamma zeroed at {zeroed} of {len(report.splits)} splits" in caplog.text
             caplog.clear()
-            allocate(cov, hard.with_gamma(0.5))
+            allocate(cov, capped.with_gamma(0.5))
+            allocate(cov, capped.with_gamma(1.0))
             allocate(random_pd(np.random.default_rng(1), 30), hard.with_gamma(1.0))
             assert caplog.records == []
 
@@ -367,6 +377,22 @@ class TestAllocateInvariants:
                 base = allocate(cov, cfg).weights
                 scaled = allocate(17.0 * cov, cfg).weights
                 np.testing.assert_allclose(base, scaled, atol=1e-10)
+
+    def test_scale_invariance_at_one_asset_terminals(self):
+        # every guard reads ratios, so 1x1 sides and budgets give the same verdict in any
+        # unit: a power of 4 scales every product exactly, 1e12 within rounding
+        rng = np.random.default_rng(21)
+        cfg = AllocationConfig(terminal_size=1)
+        for _ in range(40):
+            cov = random_pd(rng, int(rng.integers(3, 30)), ridge=0.01)
+            for gammas in (0.3, GammaPair(0.6, 0.2), 1.0):
+                base = allocate(cov, replace(cfg, gammas=gammas))
+                exact = allocate(4.0 ** 10 * cov, replace(cfg, gammas=gammas))
+                np.testing.assert_array_equal(exact.weights, base.weights, strict=True)
+                assert [(s.gamma_c, s.gamma_b, s.halvings) for s in exact.splits] == [
+                    (s.gamma_c, s.gamma_b, s.halvings) for s in base.splits]
+                large = allocate(1e12 * cov, replace(cfg, gammas=gammas)).weights
+                np.testing.assert_allclose(large, base.weights, rtol=0, atol=1e-8)
 
     def test_gamma_zero_bitwise_equals_hrp(self):
         rng = np.random.default_rng(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,7 @@ from schur_alloc.errors import NumericalError, SingularCovariance
 
 
 def _reference_check_conditioning(matrix, rcond=DEFAULT_RCOND, exc=NumericalError):
-    """The SVD guard that the eigenvalue guard replaced."""
-    if matrix.shape[0] == 1:
-        if abs(matrix[0, 0]) <= rcond:
-            raise exc("1x1 system with near-zero pivot")
-        return
+    """The SVD guard that the eigenvalue guard replaced, for n >= 2."""
     singular_values = np.linalg.svd(matrix, compute_uv=False)
     if singular_values[0] <= 0.0 or singular_values[-1] / singular_values[0] < rcond:
         raise exc("matrix is singular or ill-conditioned")
@@ -91,15 +89,19 @@ class TestCheckConditioning:
                 assert abs(ratio / DEFAULT_RCOND - 1.0) <= 0.01, (kind, matrix.shape, ratio)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("pivot, ok", [(1e-12, False), (-1e-12, False), (0.0, False),
-                                           (2e-12, True), (-2e-12, True), (1e-300, False),
-                                           (np.nan, False)])
+    @pytest.mark.parametrize("pivot, ok", [(1e-12, True), (-1e-12, True), (0.0, False),
+                                           (2e-12, True), (-2e-12, True), (1e-300, True),
+                                           (np.nan, False), (1e-310, False), (5e-324, False)])
     def test_one_by_one_pivot(self, pivot, ok):
+        # a 1x1 ratio is 1 at any scale: only a zero, NaN or subnormal pivot fails, so
+        # the division by an accepted pivot stays finite and warns of nothing
         matrix = np.array([[pivot]])
-        assert verdict(check_conditioning, matrix) == ok
-        if not np.isnan(pivot):
-            # the SVD guard's 1x1 path let a NaN pivot through
-            assert verdict(_reference_check_conditioning, matrix) == ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verdict(check_conditioning, matrix) == ok
+            if ok:
+                x = checked_solve(matrix, np.ones(1))
+                assert x[0] == 1.0 / pivot and np.isfinite(x[0])
 
     @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.ones((4, 4)),
                                         np.array([[1.0, 2.0], [2.0, 4.0]])])

@@ -7,6 +7,7 @@ from schur_alloc import (
     min_var_general,
     min_var_unit,
     portfolio_variance,
+    weak_shrink,
 )
 from schur_alloc.errors import (
     DegenerateConstraint,
@@ -134,6 +135,20 @@ class TestFitness:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             fitness(np.eye(2), "sharpe")
+
+    def test_large_units_keep_every_verdict(self):
+        # a dollar covariance (sigma ~ $10M) solves to |x| ~ 1e-14: the budget tests
+        # compare |1' x| with rcond * sum|x|, so no absolute floor rejects it
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            cov = random_pd(rng, int(rng.integers(2, 9)))
+            big = 1e14 * cov
+            shrunk, shrunk_big = weak_shrink(cov), weak_shrink(big)
+            assert shrunk_big.xi == shrunk.xi
+            np.testing.assert_allclose(shrunk_big.weights, shrunk.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(min_var_unit(big), min_var_unit(cov), rtol=0, atol=1e-12)
+            nu = fitness(cov, "minvar_variance")
+            assert fitness(big, "minvar_variance") == pytest.approx(1e14 * nu, rel=1e-12)
 
     def test_scaling_behaviour(self):
         rng = np.random.default_rng(5)

@@ -303,19 +303,29 @@ class TestAugmentations:
         assert None in outcomes[True]
 
     @pytest.mark.parametrize("cov, k, gammas, eps_b", [
-        # zero complement, b = 1: the first pivot fails
+        # zero complement, b = 1: A'' is zero at any scale
         ([[1.0, 1.0], [1.0, 1.0]], 1, GammaPair(1.0, 0.0), 1e-6),
-        # complement 0.5, b = 1e-7: only the second pivot b^2 / A^c fails
+        # complement 0.5, b = 1e-7: A'' ~5e13
         ([[1.0, 0.5], [0.5, 0.5]], 1, GammaPair(1.0, 1.0 - 1e-7), 1e-8),
-        # complement ~1e-13, b = 0.1: the first pivot fails, although
-        # A'' ~1e-11 itself would pass a pivot test
+        # complement ~1e-13, b = 0.1: A'' ~1e-11
         ([[0.81 + 1e-13, 0.9], [0.9, 1.0]], 1, GammaPair(1.0), 1e-6),
     ])
     def test_one_by_one_pivots(self, cov, k, gammas, eps_b):
-        sp = split(np.array(cov), k)
-        assert raised(double_inversion, sp, "A", gammas, eps_b) is SingularComplement
-        with pytest.raises(SingularComplement):
-            augment_intra(sp, "A", gammas, eps_b=eps_b)
+        # a 1x1 A'' fails only when zero, NaN or subnormal; a pivot's size is a unit
+        # choice, so the split scaled by 4^10 yields exactly 4^10 times the same A''
+        cov = np.array(cov)
+        sp = split(cov, k)
+        comp = schur_complement(sp, "A", gammas.gamma_c)
+        if comp[0, 0] == 0.0:
+            for scale in (1.0, 4.0 ** 10):
+                with pytest.raises(SingularComplement):
+                    augment_intra(split(scale * cov, k), "A", gammas, eps_b=eps_b)
+            return
+        b = b_vector(sp, "A", gammas.gamma_b)
+        intra = augment_intra(sp, "A", gammas, eps_b=eps_b)
+        np.testing.assert_array_equal(intra, comp / (b * b)[:, None], strict=True)
+        scaled = augment_intra(split(4.0 ** 10 * cov, k), "A", gammas, eps_b=eps_b)
+        np.testing.assert_array_equal(scaled, 4.0 ** 10 * intra, strict=True)
 
 
 class TestBlockInversionIdentity:

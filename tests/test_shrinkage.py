@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schur_alloc import long_only_clip, scale_off_diagonal, weak_shrink
@@ -73,7 +73,7 @@ def _reference_weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
 
 
 def sample_covariance(rng: np.random.Generator, p: int, t: int) -> np.ndarray:
-    """Sample covariance of t < p Gaussian draws: rank t - 1, singular at xi = 1."""
+    """Sample covariance of t Gaussian draws: rank min(t - 1, p), singular at xi = 1 for t <= p."""
     return np.cov(rng.standard_normal((t, p)), rowvar=False)
 
 
@@ -240,15 +240,20 @@ class TestWeakShrink:
             with pytest.raises(NoFeasibleXi):
                 _reference_weak_shrink(cov)
 
-    @given(st.integers(min_value=0, max_value=10**6))
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans())
+    @example(seed=0, full_rank=True)
     @settings(max_examples=25, deadline=None)
-    def test_skipped_invariant_to_per_asset_scaling(self, seed):
+    def test_skipped_invariant_to_per_asset_scaling(self, seed, full_rank):
+        # T < p skips xi = 1, where the estimate is singular; T > p skips no point
         rng = np.random.default_rng(seed)
         p = int(rng.integers(5, 20))
-        cov = sample_covariance(rng, p, int(rng.integers(2, p)))
+        samples = int(rng.integers(p + 1, 2 * p + 1) if full_rank else rng.integers(2, p))
+        cov = sample_covariance(rng, p, samples)
         base = weak_shrink(cov)
+        assert (base.skipped.size == 0) == full_rank
         vol = 10.0 ** rng.uniform(-3.0, 3.0, p)
-        assert weak_shrink(rescaled(cov, vol)).skipped == base.skipped
+        np.testing.assert_array_equal(weak_shrink(rescaled(cov, vol)).skipped, base.skipped,
+                                      strict=True)
 
     def test_traced_peak_memory_bounded(self):
         cov = sample_covariance(np.random.default_rng(5), 250, 60)
