@@ -15,7 +15,7 @@ from .errors import (
     TooFewSamples,
 )
 
-# Relative tolerance for accepting a matrix as symmetric.
+# Tolerance for accepting a matrix as symmetric, relative to its largest entry.
 SYMMETRY_RTOL = 1e-12
 
 
@@ -25,7 +25,7 @@ def _validated_square(values: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NonFiniteInput("matrix contains NaN or infinite entries")
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    scale = float(np.abs(values).max(initial=0.0))
     if np.abs(values - values.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
         raise DimensionMismatch("matrix is not symmetric within tolerance")
     return values

@@ -15,9 +15,11 @@ from .errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 # Grid resolution for the xi search. 0.001 resolves the reference 4x4
 # example's true minimizer (0.976); a 0.005 grid misses it.
 DEFAULT_GRID_STEP = 0.001
-# Finest grid accepted: at most 10,001 points, so the grid's arrays stay
-# bounded at 10,001 x n entries each.
+# Finest grid accepted: at most 10,001 points. The grid is solved in chunks,
+# so this bounds time, not memory.
 MIN_GRID_STEP = 1e-4
+# Entries per chunk of grid points (rows x n): each chunk's arrays stay cache-sized.
+_GRID_CHUNK = 2**15
 
 
 @dataclass
@@ -72,7 +74,9 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     the spectrum 1 - xi + xi * lambda has min|.| / max|.| below `rcond` (a
     conditioning test on the correlation form, blind to the variances'
     scale), when its x = shrunk^-1 1 has |1' x| <= rcond * sum|x| (a ratio
-    that reads no units either), or when it has no positive weight.
+    that reads no units either), or when it has no positive weight. The grid
+    is solved and scored in chunks of `_GRID_CHUNK` entries, so memory is
+    O(n^2 + 2^15) whatever the step.
     """
     check_grid_step(grid_step)
     values = cov_values(cov)
@@ -84,31 +88,44 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
 
     s = np.sqrt(variances_diag)
     lam, q = np.linalg.eigh(symmetrize(values / np.outer(s, s)))
-    spec = (1.0 - grid)[:, None] + grid[:, None] * lam
-    magnitude = np.abs(spec)
-    valid = magnitude.min(axis=1) >= rcond * magnitude.max(axis=1)
     u = q.T @ (1.0 / s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = ((u / spec) @ q.T) / s
-        denom = x.sum(axis=1)
-        valid &= np.isfinite(denom) & (np.abs(denom) > rcond * np.abs(x).sum(axis=1))
-        weights = np.where(valid[:, None], x / denom[:, None], np.nan)
-    clipped = np.where(weights > 0.0, weights, 0.0)
-    mass = clipped.sum(axis=1)
-    valid &= mass > 0.0
-    with np.errstate(invalid="ignore"):
-        clipped = clipped / mass[:, None]
-    variances = np.einsum("gi,ij,gj->g", clipped, values, clipped)
+    valid = np.zeros(grid.size, dtype=bool)
+    variances = np.full(grid.size, np.nan)
+    best, best_weights = -1, None
+    rows = max(1, _GRID_CHUNK // s.size)
+    for first in range(0, grid.size, rows):
+        chunk = slice(first, first + rows)
+        g = grid[chunk, None]
+        # each row ascends (eigh's lambda ascends, xi >= 0), so its ends give max|.|
+        # and, unless the row changes sign, min|.|
+        spec = (1.0 - g) + g * lam
+        lo, hi = spec[:, 0], spec[:, -1]
+        small = np.where(lo > 0.0, lo, -hi)
+        cross = (lo <= 0.0) & (hi >= 0.0)
+        small[cross] = np.abs(spec[cross]).min(axis=1)
+        ok = small >= rcond * np.maximum(-lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = ((u / spec) @ q.T) / s
+            denom = x.sum(axis=1)
+            ok &= np.isfinite(denom) & (np.abs(denom) > rcond * np.abs(x).sum(axis=1))
+            weights = np.where(ok[:, None], x / denom[:, None], np.nan)
+            clipped = np.where(weights > 0.0, weights, 0.0)
+            mass = clipped.sum(axis=1)
+            ok &= mass > 0.0
+            clipped = clipped / mass[:, None]
+        var = ((clipped @ values) * clipped).sum(axis=1)
+        valid[chunk], variances[chunk] = ok, var
+        local = int(np.argmin(np.where(ok, var, np.inf)))
+        if ok[local] and (best < 0 or var[local] < variances[best]):
+            best, best_weights = first + local, x[local] / denom[local]
 
-    if not valid.any():
+    if best < 0:
         raise NoFeasibleXi("minimum-variance solve failed at every grid point")
-    masked = np.where(valid, variances, np.inf)
-    best = int(np.argmin(masked))
     xi = float(grid[best])
     return ShrinkageResult(
         xi=xi,
         shrunk=_scale_off_diagonal(values, xi),
-        weights=x[best] / denom[best],
+        weights=best_weights,
         clipped_variance=float(variances[best]),
         curve=np.column_stack((grid[valid], variances[valid])),
         skipped=grid[~valid],

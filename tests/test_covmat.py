@@ -3,6 +3,7 @@ import pytest
 
 from schur_alloc import (
     CovarianceMatrix,
+    allocate,
     empirical_covariance,
     is_positive_definite,
     rand_symm_cov,
@@ -28,6 +29,17 @@ class TestCovarianceMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
             CovarianceMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-13, 1e-200])
+    def test_asymmetry_rejected_at_any_scale(self, scale):
+        # the tolerance is relative to the largest entry, with no floor at unit scale
+        with pytest.raises(DimensionMismatch):
+            allocate(scale * np.array([[1.0, 0.5], [0.2, 2.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_exact_symmetry_accepted_at_any_scale(self, scale):
+        weights = allocate(scale * np.array([[1.0, 0.5], [0.5, 2.0]])).weights
+        np.testing.assert_allclose(weights, [0.75, 0.25], rtol=0, atol=1e-12)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_alloc import long_only_clip, scale_off_diagonal, weak_shrink
-from schur_alloc._linalg import DEFAULT_RCOND
+from schur_alloc import long_only_clip, scale_off_diagonal, shrinkage, weak_shrink
+from schur_alloc._linalg import DEFAULT_RCOND, symmetrize
 from schur_alloc.covmat import cov_values
 from schur_alloc.errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
 from schur_alloc.seriation import Permutation, permute_matrix
@@ -72,9 +72,58 @@ def _reference_weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     )
 
 
+def _dense_weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
+                       rcond: float = DEFAULT_RCOND) -> ShrinkageResult:
+    """`weak_shrink` on the whole grid at once, in (points x n) arrays, with the
+    spectrum test taken as min|.| and max|.| over every entry of every row."""
+    values = cov_values(cov)
+    steps = int(round(1.0 / grid_step))
+    grid = np.linspace(0.0, 1.0, steps + 1)
+
+    s = np.sqrt(np.diag(values))
+    lam, q = np.linalg.eigh(symmetrize(values / np.outer(s, s)))
+    spec = (1.0 - grid)[:, None] + grid[:, None] * lam
+    magnitude = np.abs(spec)
+    valid = magnitude.min(axis=1) >= rcond * magnitude.max(axis=1)
+    u = q.T @ (1.0 / s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = ((u / spec) @ q.T) / s
+        denom = x.sum(axis=1)
+        valid &= np.isfinite(denom) & (np.abs(denom) > rcond * np.abs(x).sum(axis=1))
+        weights = np.where(valid[:, None], x / denom[:, None], np.nan)
+    clipped = np.where(weights > 0.0, weights, 0.0)
+    mass = clipped.sum(axis=1)
+    valid &= mass > 0.0
+    with np.errstate(invalid="ignore"):
+        clipped = clipped / mass[:, None]
+    variances = np.einsum("gi,ij,gj->g", clipped, values, clipped)
+
+    if not valid.any():
+        raise NoFeasibleXi("minimum-variance solve failed at every grid point")
+    best = int(np.argmin(np.where(valid, variances, np.inf)))
+    return ShrinkageResult(
+        xi=float(grid[best]),
+        shrunk=scale_off_diagonal(values, float(grid[best])),
+        weights=x[best] / denom[best],
+        clipped_variance=float(variances[best]),
+        curve=np.column_stack((grid[valid], variances[valid])),
+        skipped=grid[~valid],
+    )
+
+
 def sample_covariance(rng: np.random.Generator, p: int, t: int) -> np.ndarray:
     """Sample covariance of t Gaussian draws: rank min(t - 1, p), singular at xi = 1 for t <= p."""
     return np.cov(rng.standard_normal((t, p)), rowvar=False)
+
+
+def indefinite(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A symmetric matrix with a positive diagonal and correlations drawn from
+    +-0.9: its correlation form is mostly indefinite, and then the spectrum
+    1 - xi + xi * lambda changes sign over a band of xi."""
+    corr = np.triu(rng.uniform(-0.9, 0.9, (n, n)), 1)
+    corr = corr + corr.T + np.eye(n)
+    vol = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return corr * np.outer(vol, vol)
 
 
 def reference_corpus():
@@ -199,7 +248,7 @@ class TestWeakShrink:
 
     @pytest.mark.parametrize("step", [0.99 * MIN_GRID_STEP, 1e-6])
     def test_grid_step_below_minimum_rejected(self, unstable_4x4, step):
-        # a finer step would build (1 / step + 1) x n arrays
+        # a finer step would solve more than 10,001 grid points
         with pytest.raises(XiOutOfRange, match="MIN_GRID_STEP"):
             weak_shrink(unstable_4x4, grid_step=step)
 
@@ -256,11 +305,64 @@ class TestWeakShrink:
                                       strict=True)
 
     def test_traced_peak_memory_bounded(self):
-        cov = sample_covariance(np.random.default_rng(5), 250, 60)
+        # the grid is solved in fixed-size chunks, so the finest step (10,001
+        # points) needs no more than the n x n arrays: 138 MB when it was whole
+        cov = sample_covariance(np.random.default_rng(5), 300, 900)
         tracemalloc.start()
         try:
-            weak_shrink(cov)
+            weak_shrink(cov, grid_step=MIN_GRID_STEP)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("rcond", [DEFAULT_RCOND, 1e-3])
+    def test_spectrum_ends_match_dense_test(self, rcond):
+        # a row's min|.| and max|.| from its end columns, and the full minimum only
+        # where the row changes sign, skip exactly the points the dense test skips
+        rng = np.random.default_rng(22)
+        cases = [("pd", random_pd(rng, int(rng.integers(3, 30)), ridge=0.1)) for _ in range(15)]
+        for _ in range(15):
+            p = int(rng.integers(5, 130))
+            cases.append(("T<n", rescaled(sample_covariance(rng, p, int(rng.integers(2, p))),
+                                          10.0 ** rng.uniform(-3.0, 3.0, p))))
+        cases += [("indefinite", indefinite(rng, int(rng.integers(3, 40)))) for _ in range(15)]
+        moved = []
+        for index, (kind, cov) in enumerate(cases):
+            dense = _dense_weak_shrink(cov, rcond=rcond)
+            result = weak_shrink(cov, rcond=rcond)
+            np.testing.assert_array_equal(result.skipped, dense.skipped, strict=True)
+            if result.xi != dense.xi:
+                moved.append((index, kind, dense.xi, result.xi))
+        assert moved == []
+
+    def test_indefinite_input_changes_sign_over_a_band(self):
+        # past 1 / (1 - lambda_min) every row changes sign and takes the full
+        # min|.|: some of those points are skipped and some solve
+        cov = indefinite(np.random.default_rng(22), 12)
+        s = np.sqrt(np.diag(cov))
+        lam_min = np.linalg.eigvalsh(cov / np.outer(s, s))[0]
+        result = weak_shrink(cov, rcond=1e-3)
+        changes_sign = lambda xi: 1.0 - xi + xi * lam_min < 0.0
+        assert lam_min < 0.0
+        assert any(changes_sign(xi) for xi in result.skipped)
+        assert any(changes_sign(xi) for xi in result.curve[:, 0])
+
+    @pytest.mark.parametrize("chunk", [1, 10**9])
+    def test_chunk_boundaries_keep_the_selection(self, monkeypatch, chunk):
+        # one grid row per chunk, or the whole grid in one chunk: the running argmin
+        # keeps the first minimum across chunk edges, so ties still go to the smaller xi
+        rng = np.random.default_rng(7)
+        cases = reference_corpus() + [np.diag([1.0, 2.0, 3.0])]
+        for p in (62, 125):
+            cases.append(sample_covariance(rng, p, p // 2))
+        default = [weak_shrink(cov, grid_step=0.01) for cov in cases]
+        monkeypatch.setattr(shrinkage, "_GRID_CHUNK", chunk)
+        for cov, expected in zip(cases, default):
+            result = weak_shrink(cov, grid_step=0.01)
+            assert result.xi == expected.xi
+            np.testing.assert_array_equal(result.skipped, expected.skipped, strict=True)
+            scale = np.abs(expected.weights).max()
+            np.testing.assert_allclose(result.weights, expected.weights,
+                                       rtol=0, atol=1e-12 * scale)
+        assert weak_shrink(np.diag([1.0, 2.0, 3.0]), grid_step=0.01).xi == 0.0
