@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -28,8 +28,6 @@ from .covmat import CovarianceMatrix, cov_values
 from .errors import InputError, NotPSD, NumericalError, SingularComplement, ZeroVariance
 from .portfolio import FITNESS_KINDS, ScaledSolution, _fitness, _min_var_unit, budget
 from .schur import (
-    DEFAULT_EPS_B,
-    DEFAULT_EPS_PD,
     HEAD,
     TAIL,
     BlockSplit,
@@ -47,7 +45,7 @@ from .seriation import (
     seriate,
     unpermute_weights,
 )
-from .shrinkage import check_grid_step, weak_shrink
+from .shrinkage import weak_shrink
 
 MODES = ("hrp", "schur_literal", "schur_debiased")
 TERMINALS = ("minvar", "weak_minvar", "equal_weight", "inverse_variance")
@@ -94,6 +92,8 @@ def checked_keys(cls, data, nullable: tuple[str, ...] = ()) -> dict:
 
 @dataclass
 class AllocationConfig:
+    """The caller's choices. Solver thresholds are the primitives' DEFAULT_* constants."""
+
     gammas: GammaPair = field(default_factory=lambda: GammaPair(0.0))
     mode: str = "schur_debiased"
     fitness: str = "subportfolio_variance"
@@ -101,10 +101,6 @@ class AllocationConfig:
     terminal_size: int = 5
     seriation: str = "single_linkage"
     adaptive_cap: bool = True
-    eps_pd: float = DEFAULT_EPS_PD
-    eps_b: float = DEFAULT_EPS_B
-    rcond: float = DEFAULT_RCOND
-    shrink_grid_step: float = 0.001
 
     def __post_init__(self):
         self.gammas = GammaPair.coerce(self.gammas)
@@ -118,13 +114,6 @@ class AllocationConfig:
             raise InputError(f"seriation {self.seriation!r} not one of {SERIATION_METHODS}")
         if self.terminal_size < 1:
             raise InputError(f"terminal_size must be >= 1, got {self.terminal_size}")
-        for name, ok, allowed in (("rcond", 0.0 < self.rcond < 1.0, "(0, 1)"),
-                                  ("eps_b", 0.0 < self.eps_b < 1.0, "(0, 1)"),
-                                  ("eps_pd", 0.0 <= self.eps_pd < math.inf, "[0, inf)"),
-                                  ("shrink_grid_step", 0.0 < self.shrink_grid_step <= 1.0, "(0, 1]")):
-            if not ok:
-                raise InputError(f"{name}={getattr(self, name)!r} outside {allowed}")
-        check_grid_step(self.shrink_grid_step, "shrink_grid_step")
         if self.mode == "hrp":
             self.gammas = GammaPair(0.0, 0.0)
 
@@ -176,9 +165,9 @@ def _terminal_weights(block: np.ndarray,
     if n == 1 or config.terminal == "equal_weight":
         return np.full(n, 1.0 / n), None
     if config.terminal == "minvar":
-        return _min_var_unit(block, config.rcond), None
+        return _min_var_unit(block), None
     if config.terminal == "weak_minvar":
-        result = weak_shrink(block, grid_step=config.shrink_grid_step, rcond=config.rcond)
+        result = weak_shrink(block)
         return result.weights, result.weights
     if config.terminal == "inverse_variance":
         diag = np.diag(block)
@@ -198,20 +187,14 @@ def _couple(block: np.ndarray, k: int, config: AllocationConfig):
     sp = BlockSplit(block, k)
     effective = config.gammas
     if config.adaptive_cap and not effective.zero:
-        effective = effective.scaled(min(
-            max_feasible_gamma(sp, side, eps_pd=config.eps_pd, eps_b=config.eps_b,
-                               rcond=config.rcond)
-            for side in (HEAD, TAIL)
-        ))
+        effective = effective.scaled(min(max_feasible_gamma(sp, side) for side in (HEAD, TAIL)))
 
     halvings = 0
     gamma_zeroed = False
     while True:
         try:
-            intra = tuple(augment_intra(sp, side, effective, eps_b=config.eps_b,
-                                        rcond=config.rcond) for side in (HEAD, TAIL))
-            bs = tuple(b_vector(sp, side, effective.gamma_b, rcond=config.rcond)
-                       for side in (HEAD, TAIL))
+            intra = tuple(augment_intra(sp, side, effective) for side in (HEAD, TAIL))
+            bs = tuple(b_vector(sp, side, effective.gamma_b) for side in (HEAD, TAIL))
             return effective, halvings, gamma_zeroed, (intra, bs)
         except NumericalError:
             if halvings < MAX_GAMMA_HALVINGS:
@@ -235,9 +218,8 @@ def _recurse(block: np.ndarray, offset: int, config: AllocationConfig,
 
     w_head, shrunk_head = _recurse(a_intra, offset, config, diagnostics)
     w_tail, shrunk_tail = _recurse(d_intra, offset + k, config, diagnostics)
-    step, rcond = config.shrink_grid_step, config.rcond
-    nu_head = _fitness(a_intra, config.fitness, w_head, step, rcond, shrunk_head)
-    nu_tail = _fitness(d_intra, config.fitness, w_tail, step, rcond, shrunk_tail)
+    nu_head = _fitness(a_intra, config.fitness, w_head, shrunk_head)
+    nu_tail = _fitness(d_intra, config.fitness, w_tail, shrunk_tail)
     if not (nu_head > 0.0 and nu_tail > 0.0):
         raise NotPSD(f"a split's inverse fitness is not positive: {nu_head!r}, {nu_tail!r}")
     if config.mode == "schur_debiased":
@@ -280,7 +262,13 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
     except ZeroVariance as exc:
         raise NotPSD("a block derived from the covariance has a non-positive variance") from exc
     zeroed = sum(s.gamma_zeroed for s in diagnostics)
-    if zeroed:
+    # the cap can zero every split with no retry at all: coupling was asked for and none ran
+    if (diagnostics and not config.gammas.zero
+            and all(s.gamma_c == s.gamma_b == 0.0 for s in diagnostics)):
+        log.warning("gamma (%g, %g) requested, but all %d splits ran at gamma 0: %d capped "
+                    "to 0, %d zeroed after %d halvings", *astuple(config.gammas),
+                    len(diagnostics), len(diagnostics) - zeroed, zeroed, MAX_GAMMA_HALVINGS)
+    elif zeroed:
         log.warning("gamma zeroed at %d of %d splits after %d halvings each",
                     zeroed, len(diagnostics), MAX_GAMMA_HALVINGS)
     weights = weights / weights.sum()

@@ -20,7 +20,7 @@ from .errors import InputError, NumericalError, SchurAllocError
 from .portfolio import FITNESS_KINDS, portfolio_variance
 from .schur import GammaPair
 from .seriation import SERIATION_METHODS, seriate
-from .shrinkage import weak_shrink
+from .shrinkage import DEFAULT_GRID_STEP, weak_shrink
 from .sim import (
     PROFILES,
     ExperimentConfig,
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shrink = sub.add_parser("shrink", help="weak adaptive shrinkage")
     add_cov_input(p_shrink)
-    p_shrink.add_argument("--grid-step", type=float, default=0.001)
+    p_shrink.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p_shrink.add_argument("--out", help="JSON output path (CSV siblings derived from it)")
     p_shrink.set_defaults(func=cmd_shrink)
 

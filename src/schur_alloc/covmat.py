@@ -23,10 +23,11 @@ def _validated_square(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    low, high = float(values.min()), float(values.max())   # a NaN or inf shows here
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise NonFiniteInput("matrix contains NaN or infinite entries")
-    scale = float(np.abs(values).max(initial=0.0))
-    if np.abs(values - values.T).max(initial=0.0) > SYMMETRY_RTOL * scale:
+    diff = values - values.T
+    if np.abs(diff, out=diff).max() > SYMMETRY_RTOL * max(high, -low):
         raise DimensionMismatch("matrix is not symmetric within tolerance")
     return values
 

@@ -17,7 +17,7 @@ from .errors import (
     SingularQ,
     ZeroNormalizer,
 )
-from .shrinkage import weak_shrink
+from .shrinkage import DEFAULT_GRID_STEP, weak_shrink
 
 # Inverse fitness measures nu(). Inter-group capital is split 1/nu : 1/nu.
 #   subportfolio_variance  w_child' Sigma w_child for the child's own weights
@@ -61,7 +61,7 @@ def min_var_unit(cov, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     return _min_var_unit(cov_values(cov), rcond)
 
 
-def _min_var_unit(values: np.ndarray, rcond: float) -> np.ndarray:
+def _min_var_unit(values: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     ones = np.ones(values.shape[0])
     x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
     return x / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes; weights undefined")
@@ -91,13 +91,15 @@ def _portfolio_variance(values: np.ndarray, w) -> float:
 
 
 def fitness(cov, kind: str, child_weights=None,
-            shrink_grid_step: float = 0.001, rcond: float = DEFAULT_RCOND) -> float:
+            shrink_grid_step: float = DEFAULT_GRID_STEP, rcond: float = DEFAULT_RCOND) -> float:
     """Evaluate the inverse fitness nu of a (possibly augmented) covariance block."""
-    return _fitness(cov_values(cov), kind, child_weights, shrink_grid_step, rcond)
+    return _fitness(cov_values(cov), kind, child_weights,
+                    shrink_grid_step=shrink_grid_step, rcond=rcond)
 
 
-def _fitness(values: np.ndarray, kind: str, child_weights, shrink_grid_step: float,
-             rcond: float, shrunk_weights: np.ndarray | None = None) -> float:
+def _fitness(values: np.ndarray, kind: str, child_weights,
+             shrunk_weights: np.ndarray | None = None, *,
+             shrink_grid_step: float = DEFAULT_GRID_STEP, rcond: float = DEFAULT_RCOND) -> float:
     """`fitness` of trusted values; `shrunk_weights`, if given, is `weak_shrink(values).weights`."""
     if kind == "subportfolio_variance":
         if child_weights is None:

@@ -51,7 +51,8 @@ def correlation_distance(cov) -> np.ndarray:
     if diag.min() <= 0.0:
         raise ZeroVariance("correlation distance needs strictly positive variances")
     vol = np.sqrt(diag)
-    dist = values / np.outer(vol, vol)
+    dist = np.outer(vol, vol)
+    np.divide(values, dist, out=dist)
     np.clip(dist, -1.0, 1.0, out=dist)
     np.subtract(1.0, dist, out=dist)
     np.multiply(0.5, dist, out=dist)

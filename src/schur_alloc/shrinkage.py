@@ -56,12 +56,6 @@ def long_only_clip(weights) -> np.ndarray:
     return clipped / total
 
 
-def check_grid_step(step: float, name: str = "grid_step") -> None:
-    """Raise XiOutOfRange unless MIN_GRID_STEP <= step <= 1."""
-    if not (MIN_GRID_STEP <= step <= 1.0):
-        raise XiOutOfRange(f"{name}={step!r} outside [MIN_GRID_STEP={MIN_GRID_STEP}, 1]")
-
-
 def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
                 rcond: float = DEFAULT_RCOND) -> ShrinkageResult:
     """Grid-search xi in [0, 1]; ties broken toward smaller xi.
@@ -78,7 +72,8 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     is solved and scored in chunks of `_GRID_CHUNK` entries, so memory is
     O(n^2 + 2^15) whatever the step.
     """
-    check_grid_step(grid_step)
+    if not (MIN_GRID_STEP <= grid_step <= 1.0):
+        raise XiOutOfRange(f"grid_step={grid_step!r} outside [MIN_GRID_STEP={MIN_GRID_STEP}, 1]")
     values = cov_values(cov)
     variances_diag = np.diag(values)
     if variances_diag.min() <= 0.0:

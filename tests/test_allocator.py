@@ -1,7 +1,9 @@
+import ctypes
 import json
 import logging
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -60,6 +62,15 @@ def desk_estimate(trial: int = 0) -> covmat.CovarianceMatrix:
     return covmat.empirical_covariance(covmat.sample_gaussian(sigma_true, desk["o"], rng))
 
 
+def ill_scaled_sample(samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """A 20-asset sample covariance of `samples` draws, and the same with per-asset
+    scales 10**U(-6, 6), so variances spread over 1e-12..1e12."""
+    rng = np.random.default_rng(0)
+    cov = np.cov(rng.standard_normal((samples, 20)), rowvar=False)
+    vol = 10.0 ** rng.uniform(-6, 6, 20)
+    return cov, cov * np.outer(vol, vol)
+
+
 def table1_reference_weights(cov: np.ndarray, k: int, mode: str) -> np.ndarray:
     """Brute-force one level of the two augmented-matrix recursion.
 
@@ -103,18 +114,20 @@ class TestConfig:
         back = AllocationConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+        # every field away from its default
         tuned = AllocationConfig(gammas=GammaPair(0.5, 0.25), mode="schur_literal",
                                  fitness="minvar_variance", terminal="weak_minvar",
-                                 terminal_size=3, seriation="identity", adaptive_cap=False,
-                                 eps_pd=1e-7, eps_b=1e-5, rcond=1e-11, shrink_grid_step=0.01)
+                                 terminal_size=3, seriation="identity", adaptive_cap=False)
+        default = AllocationConfig().to_dict()
+        assert all(value != default[key] for key, value in tuned.to_dict().items())
+        assert AllocationConfig.from_dict(tuned.to_dict()) == tuned
         moved = tuned.with_gamma(0.9)
         assert moved.gammas == GammaPair(0.9)
         assert moved == AllocationConfig(**{**vars(tuned), "gammas": GammaPair(0.9)})
         assert json.dumps(tuned.to_dict()) == (
             '{"gamma": 0.5, "gamma_b": 0.25, "mode": "schur_literal", '
             '"fitness": "minvar_variance", "terminal": "weak_minvar", "terminal_size": 3, '
-            '"seriation": "identity", "adaptive_cap": false, "eps_pd": 1e-07, '
-            '"eps_b": 1e-05, "rcond": 1e-11, "shrink_grid_step": 0.01}'
+            '"seriation": "identity", "adaptive_cap": false}'
         )
 
     def test_from_dict_value_kinds(self):
@@ -132,21 +145,21 @@ class TestConfig:
         ("shrink_grid_step", math.nan), ("shrink_grid_step", 0.0), ("shrink_grid_step", 1.5),
     ])
     def test_bad_threshold(self, name, value):
-        with pytest.raises(InputError, match=f"^{name}="):
+        # the solver thresholds are constants, not config fields: a config that still
+        # sets one is refused by the key's name, before its value is read
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             AllocationConfig(**{name: value})
-        with pytest.raises(InputError, match=f"^{name}="):
+        with pytest.raises(InputError, match=f"^unknown AllocationConfig keys: {name}$"):
             AllocationConfig.from_dict({name: value})
 
     @pytest.mark.parametrize("step", [0.99 * MIN_GRID_STEP, 1e-6])
     def test_grid_step_below_minimum(self, step):
-        with pytest.raises(XiOutOfRange, match="^shrink_grid_step=.*MIN_GRID_STEP"):
-            AllocationConfig(shrink_grid_step=step)
-        with pytest.raises(XiOutOfRange, match="^shrink_grid_step=.*MIN_GRID_STEP"):
+        # a grid step is set only where weak_shrink is called directly or through the
+        # public fitness; both refuse a step below MIN_GRID_STEP
+        with pytest.raises(InputError, match="^unknown AllocationConfig keys: shrink_grid_step$"):
             AllocationConfig.from_dict({"shrink_grid_step": step})
-
-    def test_edge_thresholds_accepted(self):
-        cfg = AllocationConfig(eps_pd=0.0, shrink_grid_step=1.0, rcond=0.5, eps_b=0.5)
-        assert cfg.eps_pd == 0.0 and cfg.shrink_grid_step == 1.0
+        with pytest.raises(XiOutOfRange, match="^grid_step=.*MIN_GRID_STEP"):
+            fitness(equi3(), "weak_minvar_variance", shrink_grid_step=step)
 
     @pytest.mark.parametrize("gammas", [(0.6, 0.2), [0.6, 0.2], 0.6, [0.6], (0.6, None)])
     def test_gammas_coerced_once(self, gammas):
@@ -223,9 +236,9 @@ class TestAllocateFootprint:
         # fitness of that very block: a result handed to the wrong side would differ
         recorded = []
 
-        def recording(values, kind, child_weights, step, rcond, handed=None):
-            nu = fit(values, kind, child_weights, step, rcond, handed)
-            recorded.append((values, child_weights, handed, step, rcond, nu))
+        def recording(values, kind, child_weights, handed=None, **thresholds):
+            nu = fit(values, kind, child_weights, handed, **thresholds)
+            recorded.append((values, child_weights, handed, thresholds, nu))
             return nu
 
         fit = allocator._fitness
@@ -235,12 +248,14 @@ class TestAllocateFootprint:
             for gamma in (0.0, 0.5, 1.0):
                 allocate(desk_estimate(trial), cfg.with_gamma(gamma))
         assert len(recorded) == 2 * 3 * 14
-        for values, child_weights, handed, step, rcond, nu in recorded:
+        for values, child_weights, handed, thresholds, nu in recorded:
+            # the recursion runs fitness at its default thresholds
+            assert thresholds == {}
             assert (handed is not None) == (1 < values.shape[0] <= cfg.terminal_size)
             if handed is not None:
                 # a weak terminal's weights are the very vector it hands up
                 assert child_weights.tobytes() == handed.tobytes()
-            fresh = fitness(values, "weak_minvar_variance", shrink_grid_step=step, rcond=rcond)
+            fresh = fitness(values, "weak_minvar_variance")
             assert nu == fresh
 
     @pytest.mark.parametrize("samples", [30, 12])
@@ -248,11 +263,7 @@ class TestAllocateFootprint:
     def test_ill_scaled_sample_covariance_allocates(self, samples, gamma):
         # variances spread over 1e-12..1e12: a weak terminal is judged only by
         # weak_shrink's correlation-form test, never on the raw block's scale
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((samples, 20))
-        cov = np.cov(x, rowvar=False)
-        vol = 10.0 ** rng.uniform(-6, 6, 20)
-        cov *= np.outer(vol, vol)
+        cov = ill_scaled_sample(samples)[1]
         weights = allocate(cov, default_allocation().with_gamma(gamma)).weights
         assert np.all(np.isfinite(weights))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -276,6 +287,25 @@ class TestAllocateFootprint:
             allocate(random_pd(np.random.default_rng(1), 30), hard.with_gamma(1.0))
             assert caplog.records == []
 
+    def test_coupling_lost_at_every_split_logs_one_warning(self, caplog):
+        # on the ill-scaled estimate the cap, not the retry loop, sets every split's
+        # gamma to 0, so no split is gamma_zeroed; the unscaled estimate keeps its coupling
+        plain, scaled = ill_scaled_sample(30)
+        cfg = default_allocation()
+        for cov, gamma, warned in ((scaled, 0.0, False), (scaled, 0.5, True),
+                                   (scaled, 1.0, True), (plain, 0.5, False), (plain, 1.0, False)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="schur_alloc"):
+                splits = allocate(cov, cfg.with_gamma(gamma)).splits
+            at_zero = [s.gamma_c == s.gamma_b == 0.0 for s in splits]
+            assert len(splits) == 3 and all(at_zero) == (cov is scaled)
+            assert [(r.name, r.levelname) for r in caplog.records] == (
+                [("schur_alloc", "WARNING")] if warned else [])
+            if warned:
+                assert not any(s.gamma_zeroed or s.halvings for s in splits)
+                assert (f"gamma ({gamma:g}, {gamma:g}) requested, but all 3 splits ran at "
+                        "gamma 0: 3 capped to 0, 0 zeroed after 5 halvings") in caplog.text
+
     def test_numpy_ma_never_imported(self):
         # numpy.ma adds about 1.5 MB of resident memory to every process that loads it
         code = (
@@ -286,6 +316,37 @@ class TestAllocateFootprint:
             "m = np.random.default_rng(0).standard_normal((30, 40))\n"
             "schur_alloc.allocate(np.cov(m.T), default_allocation().with_gamma(1.0))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = str(Path(schur_alloc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_malloc_thresholds_fixed_at_import(self):
+        # glibc's own rule would, after a freed 16 MiB block, serve the 2 MB block from the
+        # heap and keep up to 32 MiB of free heap top resident: here the 2 MB block is mapped
+        # and the 11.5 MB freed by the 16 smaller blocks goes back once the top passes 8 MiB
+        if platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc 2.33 or later")
+        code = (
+            "import ctypes\n"
+            "import numpy as np\n"
+            "import schur_alloc\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+            "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks')]\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.mallinfo2.restype = Info\n"
+            "np.ones(2 ** 21).sum()\n"
+            "mapped = libc.mallinfo2().hblkhd\n"
+            "block = np.ones((500, 500))\n"
+            "assert libc.mallinfo2().hblkhd - mapped >= block.nbytes, 'block not mapped'\n"
+            "heap = libc.mallinfo2().arena\n"
+            "blocks = [np.ones((300, 300)) for _ in range(16)]\n"
+            "del blocks\n"
+            "assert libc.mallinfo2().arena - heap < 2 ** 23, 'free heap top kept'\n"
         )
         src = str(Path(schur_alloc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

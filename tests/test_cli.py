@@ -178,15 +178,27 @@ class TestSimulate:
         ([1, 2], "list"),
         ({"p": "abc"}, "ExperimentConfig field 'p' needs an integer, got str"),
         ({"allocation": {"terminal_size": "5"}}, "field 'terminal_size' needs an integer"),
-        ({"allocation": {"rcond": float("nan")}}, "rcond=nan outside (0, 1)"),
-        ({"allocation": {"rcond": -1}}, "rcond=-1 outside (0, 1)"),
-        ({"allocation": {"rcond": 0}}, "rcond=0 outside (0, 1)"),
-        ({"allocation": {"eps_b": 1.0}}, "eps_b=1.0 outside (0, 1)"),
-        ({"allocation": {"eps_b": float("nan")}}, "eps_b=nan"),
-        ({"allocation": {"eps_pd": -1e-8}}, "eps_pd=-1e-08 outside [0, inf)"),
-        ({"allocation": {"eps_pd": float("inf")}}, "eps_pd=inf"),
-        ({"allocation": {"shrink_grid_step": 0}}, "shrink_grid_step=0 outside (0, 1]"),
-        ({"allocation": {"shrink_grid_step": float("nan")}}, "shrink_grid_step=nan"),
+        # the solver thresholds are constants now, no longer AllocationConfig fields:
+        # a config naming one, at any value, exits 2 as an unknown key (the ids keep the
+        # names of the range checks these cases ran when the thresholds were fields)
+        pytest.param({"allocation": {"rcond": float("nan")}}, "unknown AllocationConfig keys: rcond",
+                     id="config6-rcond=nan outside (0, 1)"),
+        pytest.param({"allocation": {"rcond": -1}}, "unknown AllocationConfig keys: rcond",
+                     id="config7-rcond=-1 outside (0, 1)"),
+        pytest.param({"allocation": {"rcond": 0}}, "unknown AllocationConfig keys: rcond",
+                     id="config8-rcond=0 outside (0, 1)"),
+        pytest.param({"allocation": {"eps_b": 1.0}}, "unknown AllocationConfig keys: eps_b",
+                     id="config9-eps_b=1.0 outside (0, 1)"),
+        pytest.param({"allocation": {"eps_b": float("nan")}}, "unknown AllocationConfig keys: eps_b",
+                     id="config10-eps_b=nan"),
+        pytest.param({"allocation": {"eps_pd": -1e-8}}, "unknown AllocationConfig keys: eps_pd",
+                     id="config11-eps_pd=-1e-08 outside [0, inf)"),
+        pytest.param({"allocation": {"eps_pd": float("inf")}}, "unknown AllocationConfig keys: eps_pd",
+                     id="config12-eps_pd=inf"),
+        pytest.param({"allocation": {"shrink_grid_step": 0}}, "unknown AllocationConfig keys: shrink_grid_step",
+                     id="config13-shrink_grid_step=0 outside (0, 1]"),
+        pytest.param({"allocation": {"shrink_grid_step": float("nan")}}, "unknown AllocationConfig keys: shrink_grid_step",
+                     id="config14-shrink_grid_step=nan"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config, named):
         path = tmp_path / "config.json"

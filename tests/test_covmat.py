@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from schur_alloc import (
     rand_symm_cov,
     sample_gaussian,
 )
-from schur_alloc.covmat import read_matrix_csv, read_returns_csv, write_matrix_csv
+from schur_alloc.covmat import (
+    SYMMETRY_RTOL,
+    read_matrix_csv,
+    read_returns_csv,
+    write_matrix_csv,
+)
 from schur_alloc.errors import (
     DimensionMismatch,
     InvalidRho,
@@ -48,6 +55,45 @@ class TestCovarianceMatrix:
     def test_label_count_checked(self):
         with pytest.raises(DimensionMismatch):
             CovarianceMatrix(np.eye(2), labels=["a"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anywhere_rejected(self, bad):
+        for i, j in ((0, 0), (0, 4), (4, 0), (2, 3)):
+            values = np.eye(5) + 0.25
+            values[i, j] = bad
+            with pytest.raises(NonFiniteInput):
+                CovarianceMatrix(values)
+
+    def test_symmetry_verdict_unchanged(self):
+        # the verdict of |v_ij - v_ji| > SYMMETRY_RTOL * max |v|, taken as one dense pass
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            values = random_pd(rng, n) * 10.0 ** rng.uniform(-100.0, 100.0)
+            values *= rng.choice([-1.0, 1.0])
+            i, j = rng.integers(0, n, 2)
+            values[i, j] += float(rng.choice([-1.0, 1.0])) * SYMMETRY_RTOL \
+                * np.abs(values).max() * float(rng.choice([0.5, 0.999, 1.001, 2.0]))
+            dense = bool(np.abs(values - values.T).max() > SYMMETRY_RTOL * np.abs(values).max())
+            try:
+                CovarianceMatrix(values)
+                rejected = False
+            except DimensionMismatch:
+                rejected = True
+            assert rejected == dense
+            verdicts.append(dense)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_validation_holds_one_square_temporary(self):
+        values = random_pd(np.random.default_rng(32), 1000)
+        tracemalloc.start()
+        try:
+            CovarianceMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2 ** 20      # v - v' and O(n) more, not 3 n x n arrays
 
 
 class TestEmpiricalCovariance:

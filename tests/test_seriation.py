@@ -122,6 +122,10 @@ def two_block_interleaved(n_per_block: int = 3, within: float = 0.8) -> np.ndarr
 
 
 class TestCorrelationDistance:
+    def test_one_square_buffer(self):
+        cov = random_pd(np.random.default_rng(14), 1000)
+        assert traced_peak(correlation_distance, cov) <= cov.nbytes + 2 ** 20
+
     def test_perfect_correlation(self):
         dist = correlation_distance(np.ones((2, 2)))
         assert dist[0, 1] == pytest.approx(0.0)
