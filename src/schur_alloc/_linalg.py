@@ -55,4 +55,7 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, exc: type[NumericalError]) -> np
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
+    """(matrix + matrix.T) / 2.0, halved in the one new array that holds the sum."""
+    out = matrix + matrix.T
+    out /= 2.0
+    return out

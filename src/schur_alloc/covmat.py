@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import symmetrize
 from .errors import (
     DimensionMismatch,
     InvalidRho,
@@ -83,16 +84,20 @@ def empirical_covariance(samples: ReturnsPanel | np.ndarray) -> CovarianceMatrix
         values = np.asarray(samples, dtype=float)
         if values.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d panel, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteInput("returns panel contains NaN or infinite entries")
     t = values.shape[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = values.mean(axis=0) if t else np.zeros(values.shape[1])
+    # a NaN or inf entry makes its column's mean non-finite, so only then (or when a
+    # column sum overflows) is the panel read entry by entry
+    if not np.isfinite(mean).all() and not np.isfinite(values).all():
+        raise NonFiniteInput("returns panel contains NaN or infinite entries")
     if t < 2:
         raise TooFewSamples(f"need at least 2 periods, got {t}")
-    centered = values - values.mean(axis=0)
+    centered = values - mean
     cov = centered.T @ centered
     del centered
     cov /= t - 1
-    cov = (cov + cov.T) / 2.0
+    cov = symmetrize(cov)
     return CovarianceMatrix(cov, labels)
 
 

@@ -12,6 +12,25 @@ limits of the gamma cap and the augmentation -- is then affine in S and t.
 The augmented matrix A'' = A^c / (b_A b_A') serves both the recursion and
 the capital split: the inter-group matrix (A^c^-1 * b_A b_A')^-1 is
 diag(1/b_A) A^c diag(1/b_A), which is A''.
+
+A guard is one `eigvalsh` (check_conditioning) unless what the gamma cap
+has found already decides it. The cap factors each side's A - eps_pd I by
+Cholesky once, so lambda_min(A) > eps_pd where that succeeds; and for every
+gamma up to the cap, A - gamma S - eps_pd I is a convex combination of two
+PD matrices, so PD too. For a PD matrix lambda_min <= min diag <= max diag
+<= lambda_max <= trace, and the congruence by diag(1/b) moves lambda_min
+and lambda_max apart by at most (max|b| / min|b|)^2 (Horn & Johnson,
+Matrix Analysis, 4.2-4.3). Three certificates follow, each with a factor 2
+of slack for rounding:
+
+  (i)   a complementary block passes where the other side's factorization
+        succeeded and eps_pd / trace(block) >= 2 rcond;
+  (ii)  at a gamma_c under the cap, A'' passes where
+        eps_pd / trace(A^c) * (min|b| / max|b|)^2 >= 2 rcond;
+  (iii) at a gamma_c under the cap, A'' fails where
+        min diag(A'') < rcond / 2 * max diag(A'').
+
+With the cap off nothing is factored, and every guard is an `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -28,6 +47,7 @@ from .errors import (
     BadIndex,
     DegenerateBVector,
     InputError,
+    NumericalError,
     SingularComplement,
     SingularComplementBlock,
 )
@@ -87,7 +107,11 @@ class BlockSplit:
     The gamma-independent products S and t of each side are solved on first
     use and kept, keyed by (side, product, rcond), for the life of the split,
     beside the conditioning verdict on that side's complementary block, keyed
-    by (side, "guard", rcond).
+    by (side, "guard", rcond). The gamma cap keeps whether own - eps_pd I
+    is PD, as (side, "margin") -> (eps_pd, verdict), and (side, "cap") ->
+    (eps_pd, cap). One side's cap leaves the other side's Cholesky factor
+    under (side, "factor") -> (eps_pd, factor or None) until that side's own
+    cap takes it.
     """
 
     parent: np.ndarray
@@ -128,14 +152,31 @@ def _own_and_other(sp: BlockSplit, side: str):
     raise InputError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
 
 
+def _opposite(side: str) -> str:
+    return TAIL if side == HEAD else HEAD
+
+
+def _guard(matrix: np.ndarray, rcond: float, exc: type[NumericalError],
+           certificate: bool | str | None) -> None:
+    """check_conditioning(matrix, rcond, exc), unless a certificate has decided:
+    True passes, a message raises `exc` with it, and None leaves it to `eigvalsh`."""
+    if certificate is None:
+        check_conditioning(matrix, rcond, exc)
+    elif certificate is not True:
+        raise exc(certificate)
+
+
 def _solve_other(sp: BlockSplit, side: str, rhs: np.ndarray, rcond: float) -> np.ndarray:
     """other^-1 @ rhs. The complementary block is guarded on the first call for
-    (side, rcond); a failed verdict is kept and raised again on every later call."""
+    (side, rcond), by certificate (i) where the other side's block was factored;
+    a failed verdict is kept and raised again on every later call."""
     other = _own_and_other(sp, side)[2]
     key = (side, "guard", rcond)
     if key not in sp._solved:
+        eps_pd, pd = sp._solved.get((_opposite(side), "margin"), (0.0, False))
+        certified = pd and eps_pd / np.trace(other) >= 2.0 * rcond
         try:
-            check_conditioning(other, rcond, SingularComplementBlock)
+            _guard(other, rcond, SingularComplementBlock, True if certified else None)
             sp._solved[key] = None
         except SingularComplementBlock as err:
             sp._solved[key] = str(err)
@@ -156,11 +197,13 @@ def _product(sp: BlockSplit, side: str, name: str, rcond: float) -> np.ndarray:
 
 def schur_complement(sp: BlockSplit, side: str, gamma_c: float,
                      rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Blended complement: own - gamma_c * cross @ other^-1 @ cross'."""
+    """Blended complement: own - gamma_c * cross @ other^-1 @ cross', built and
+    symmetrized in one buffer."""
     own, _, _ = _own_and_other(sp, side)
     if gamma_c == 0.0:
         return own.copy()
-    return symmetrize(own - gamma_c * _product(sp, side, "S", rcond))
+    comp = np.multiply(_product(sp, side, "S", rcond), gamma_c)
+    return symmetrize(np.subtract(own, comp, out=comp))
 
 
 def b_vector(sp: BlockSplit, side: str, gamma_b: float,
@@ -188,6 +231,24 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     return carry_own - gamma_b * (cross @ _solve_other(sp, side, carry_other, rcond))
 
 
+def _intra_certificate(sp: BlockSplit, side: str, gamma_c: float, comp: np.ndarray,
+                       b: np.ndarray, rcond: float) -> bool | str | None:
+    """Certificates (ii) and (iii) for A'' = comp / (b b'), or None: both need
+    gamma_c under this side's cap, where comp - eps_pd I is PD."""
+    eps_pd, cap = sp._solved.get((side, "cap"), (0.0, -1.0))
+    if not (eps_pd > 0.0 and gamma_c <= cap):
+        return None
+    abs_b = np.abs(b)
+    if eps_pd / np.trace(comp) * (abs_b.min() / abs_b.max()) ** 2 >= 2.0 * rcond:
+        return True
+    diag = np.diagonal(comp) / (b * b)     # bitwise the diagonal of A''
+    ratio = diag.min() / diag.max()
+    if ratio < rcond / 2.0:
+        return (f"augmented matrix is ill-conditioned (min / max diagonal {ratio:.2e}, "
+                f"an upper bound on |lambda|min / |lambda|max, below rcond / 2)")
+    return None
+
+
 def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
                   eps_b: float = DEFAULT_EPS_B,
                   rcond: float = DEFAULT_RCOND) -> np.ndarray:
@@ -197,6 +258,7 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     SingularComplement, the allocator's cue to halve gamma, when A'' fails
     check_conditioning, whose ratio test gives Sigma and c * Sigma one verdict
     at every size: a 1x1 side fails only on a zero, NaN or subnormal A^c / b^2.
+    Under this side's cap, certificates (ii) and (iii) give that verdict first.
     """
     if gammas.zero:
         return _own_and_other(sp, side)[0].copy()
@@ -204,9 +266,28 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
     if np.abs(b).min() < eps_b:
         raise DegenerateBVector(f"|b| entry below {eps_b} before pointwise division")
-    intra = comp / np.outer(b, b)
-    check_conditioning(intra, rcond, SingularComplement)
+    certificate = _intra_certificate(sp, side, gammas.gamma_c, comp, b, rcond)
+    intra = np.divide(comp, np.outer(b, b), out=comp)
+    _guard(intra, rcond, SingularComplement, certificate)
     return intra
+
+
+def _shifted(own: np.ndarray, eps_pd: float) -> np.ndarray:
+    """A copy of own - eps_pd I."""
+    shifted = own.copy()
+    shifted.flat[:: shifted.shape[0] + 1] -= eps_pd
+    return shifted
+
+
+def _factor(sp: BlockSplit, side: str, eps_pd: float) -> np.ndarray | None:
+    """L with L L' = own - eps_pd I, or None where that is not PD. The verdict stays
+    on the split as (side, "margin") -> (eps_pd, PD or not)."""
+    try:
+        factor = np.linalg.cholesky(_shifted(_own_and_other(sp, side)[0], eps_pd))
+    except np.linalg.LinAlgError:
+        factor = None
+    sp._solved[(side, "margin")] = (eps_pd, factor is not None)
+    return factor
 
 
 def max_feasible_gamma(sp: BlockSplit, side: str,
@@ -220,19 +301,31 @@ def max_feasible_gamma(sp: BlockSplit, side: str,
     top eigenvalue of the pencil L^-1 S L^-T; each binds only below 1. Every
     blend is PD when A - S - eps_pd I is, so a Cholesky of it skips the pencil.
     The cap is 0.0 when the complementary block is singular or A - eps_pd I is not PD.
+    Each side's block is factored once per split: this side's cap also factors
+    the other side's, before this side's guard, which that verdict certifies,
+    and leaves the factor on the split for the other side's cap to take. So no
+    factor outlives both caps.
     """
+    eps_kept, factor = sp._solved.pop((side, "factor"), (None, None))
+    if eps_kept != eps_pd:
+        factor = _factor(sp, side, eps_pd)
+    if factor is None:
+        return 0.0
+    other = _opposite(side)
+    if (other, "margin") not in sp._solved:
+        sp._solved[(other, "factor")] = (eps_pd, _factor(sp, other, eps_pd))
     try:
         t, s = _product(sp, side, "t", rcond), _product(sp, side, "S", rcond)
-        shifted = _own_and_other(sp, side)[0].copy()
-        shifted.flat[:: shifted.shape[0] + 1] -= eps_pd
-        factor = np.linalg.cholesky(shifted)
-    except (SingularComplementBlock, np.linalg.LinAlgError):
+    except SingularComplementBlock:
         return 0.0
-    shifted -= s
+    blend = _shifted(_own_and_other(sp, side)[0], eps_pd)
+    blend -= s
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(blend)
         top = 0.0
     except np.linalg.LinAlgError:
         top = np.linalg.eigvalsh(np.linalg.solve(factor, np.linalg.solve(factor, s).T))[-1]
     limit = min((1.0 - eps_b) / max(t.max(), 1.0 - eps_b), 1.0 / max(top, 1.0))
-    return math.floor(limit / CAP_STEP) * CAP_STEP
+    cap = math.floor(limit / CAP_STEP) * CAP_STEP
+    sp._solved[(side, "cap")] = (eps_pd, cap)
+    return cap

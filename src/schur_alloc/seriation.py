@@ -2,11 +2,11 @@
 on the correlation distance, so that bisection discards less covariance.
 
 The leaf order is that of merging the closest pair of clusters one at a
-time, with exact ties broken by cluster id. It is computed from the minimum
-spanning tree of the distance graph (Gower & Ross 1969; Muellner 2011,
-arXiv:1109.2378) in O(n^2) time, O(n^2 log n) at worst when three or more
-clusters tie at many heights. Beyond the distance matrix it needs O(n)
-memory, tied distances included.
+time, with exact ties broken by keys that read distances, not labels. It is
+computed from the minimum spanning tree of the distance graph (Gower & Ross
+1969; Muellner 2011, arXiv:1109.2378) in O(n^2) time, O(n^2 log n) at worst
+when three or more clusters tie at many heights. Beyond the distance matrix
+it needs O(n) memory, tied distances included.
 """
 
 from __future__ import annotations
@@ -136,18 +136,20 @@ def _single_linkage_order(dist: np.ndarray) -> list[int]:
     """Dendrogram leaf order from agglomerative single-linkage clustering.
 
     `dist` must be exactly symmetric, as `correlation_distance` returns it.
-    Merge selection is by minimum linkage distance with exact ties broken by
-    the lexicographically smallest pair of cluster ids, where a cluster's id
-    is its smallest original index. Within a merge the child with the smaller
-    (total-distance-mass, id) key is placed first; the distance-mass key keeps
-    the leaf order a function of distances alone whenever they are distinct,
-    the id key makes full ties (e.g. equicorrelated inputs) reproducible.
+    Each asset i has the key (rowmass_i, i), with rowmass_i its total
+    distance, and a cluster the smallest key of its assets. Merge selection
+    is by minimum linkage distance with exact ties broken by the smallest
+    pair of cluster keys, and within a merge the child with the smaller key
+    is placed first. The distance mass makes the leaf order a function of
+    distances alone wherever masses differ, exact ties included, so that
+    relabelling the assets permutes the order; the index only separates
+    equal masses (e.g. equicorrelated inputs).
 
     The merge heights are the weights of a minimum spanning tree
     (`_mst_edges`), taken in increasing order. The tree edges at one height
     join the clusters below it into groups. A group of two is one merge. In
-    a larger group the tie rule grows the smallest-id cluster, which absorbs
-    its smallest-id neighbour at that height until none is left; a pair is
+    a larger group the tie rule grows the smallest-key cluster, which absorbs
+    its smallest-key neighbour at that height until none is left; a pair is
     neighbours if any of their assets lie exactly that far apart. The
     neighbours are found by scanning the distance rows of each absorbed
     cluster's assets, except those of the group's largest cluster, which are
@@ -157,22 +159,24 @@ def _single_linkage_order(dist: np.ndarray) -> list[int]:
     one merging a single closest pair at a time would give.
     """
     n = dist.shape[0]
-    rowmass = dist.sum(axis=1).tolist()
-    label = np.arange(n)                        # cluster id of each asset
-    leaves = [[i] for i in range(n)]            # leaf list per cluster id
-    keys = [(rowmass[i], i) for i in range(n)]  # ordering key per cluster id
+    mass = dist.sum(axis=1)
+    rowmass = mass.tolist()
+    # a cluster lives at the index of its smallest-key asset, so its key is (rowmass[c], c)
+    label = np.arange(n)                        # cluster of each asset
+    leaves = [[i] for i in range(n)]            # leaf list per cluster
 
-    def merge(grown: int, other: int) -> None:
-        if keys[grown] <= keys[other]:
-            leaves[grown] = leaves[grown] + leaves[other]
-        else:
-            leaves[grown] = leaves[other] + leaves[grown]
-        keys[grown] = min(keys[grown], keys[other])
-        label[leaves[other]] = grown
-        leaves[other] = []
+    def key(cluster: int) -> tuple[float, int]:
+        return rowmass[cluster], cluster
+
+    def merge(first: int, second: int) -> None:
+        if key(second) < key(first):
+            first, second = second, first
+        leaves[first] = leaves[first] + leaves[second]
+        label[leaves[second]] = first
+        leaves[second] = []
 
     def absorb(group: list[int], level: float) -> None:
-        grown = group[0]
+        grown = min(group, key=key)
         big = max(group, key=lambda c: len(leaves[c]))
         beside_big = np.zeros(n, dtype=bool)    # clusters that neighbour `big`
         for cluster in group:
@@ -192,7 +196,8 @@ def _single_linkage_order(dist: np.ndarray) -> list[int]:
                 for i in assets:
                     frontier[label[dist[i] == level]] = True
             frontier[grown] = frontier[cluster] = False
-            cluster = int(np.argmax(frontier))
+            # the smallest key in the frontier: least mass, then least index
+            cluster = int(np.argmin(np.where(frontier, mass, np.inf)))
             if not frontier[cluster]:
                 return
 
@@ -204,7 +209,7 @@ def _single_linkage_order(dist: np.ndarray) -> list[int]:
             else:
                 absorb(group, level)
 
-    return leaves[0]
+    return leaves[label[0]]
 
 
 def permute_matrix(cov, perm: Permutation) -> np.ndarray:

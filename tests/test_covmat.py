@@ -124,6 +124,54 @@ class TestEmpiricalCovariance:
         with pytest.raises(NonFiniteInput):
             empirical_covariance(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("t, n", [(2, 1), (3, 7), (40, 9), (25, 60)])
+    def test_bitwise_equal_to_dense_formula(self, t, n):
+        panel = np.random.default_rng(t * n).standard_normal((t, n)) * 10.0 ** (np.arange(n) % 5)
+        centered = panel - panel.mean(axis=0)
+        dense = centered.T @ centered
+        dense /= t - 1
+        np.testing.assert_array_equal(empirical_covariance(panel).values,
+                                      (dense + dense.T) / 2.0, strict=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 2), (7, 4), (5, 1)])
+    def test_non_finite_anywhere_rejected(self, bad, row, col):
+        panel = np.random.default_rng(row + col).standard_normal((8, 5))
+        panel[row, col] = bad
+        with pytest.raises(NonFiniteInput):
+            empirical_covariance(panel)
+
+    def test_opposite_infinities_in_one_column_rejected(self):
+        # their column mean is NaN, not inf
+        panel = np.ones((4, 3))
+        panel[0, 1], panel[2, 1] = np.inf, -np.inf
+        with pytest.raises(NonFiniteInput):
+            empirical_covariance(panel)
+
+    def test_finite_panel_checked_through_column_means(self, monkeypatch):
+        # no T x n isfinite mask: only the n column means are tested entry by entry
+        shapes = []
+        isfinite = np.isfinite
+
+        def recording(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recording)
+        empirical_covariance(np.random.default_rng(3).standard_normal((200, 5)))
+        assert (200, 5) not in shapes and (5,) in shapes
+
+    def test_symmetrized_with_one_square_temporary(self):
+        # the product, its symmetric half-sum, and the validation's one n x n array
+        panel = np.random.default_rng(4).standard_normal((3, 1000))
+        tracemalloc.start()
+        try:
+            empirical_covariance(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1000 * 1000 * 8 + 2 ** 20
+
     def test_output_is_psd(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_alloc import AllocationConfig, allocate
+from schur_alloc import AllocationConfig, allocate, correlation_distance
 from schur_alloc.errors import SchurAllocError
 from schur_alloc.sim import default_allocation
 
@@ -101,3 +101,17 @@ def test_exact_minimum_variance_at_gamma_one(seed, n, terminal_size):
                            terminal_size=terminal_size, adaptive_cap=False)
     x = np.linalg.solve(cov, np.ones(n))
     np.testing.assert_allclose(allocate(cov, cfg).weights, x / x.sum(), rtol=0.0, atol=1e-12)
+
+
+def test_exactly_tied_near_duplicates_relabel_bitwise():
+    # three correlation distances of this input are exactly 0.0; seriation must
+    # break that tie by the assets' distances, not by their labels
+    rng = np.random.default_rng(30368)
+    cov = near_duplicate(rng, 19)
+    perm = rng.permutation(19)
+    assert (correlation_distance(cov)[np.triu_indices(19, 1)] == 0.0).sum() == 3
+    cfg = replace(CONFIGS["default"], terminal_size=1, adaptive_cap=False)
+    for gamma in (0.0, 0.5, 1.0):
+        original = allocate(cov, cfg.with_gamma(gamma)).weights
+        relabelled = allocate(cov[np.ix_(perm, perm)], cfg.with_gamma(gamma)).weights
+        np.testing.assert_array_equal(relabelled, original[perm], strict=True)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_alloc import (
+    AllocationConfig,
     GammaPair,
+    allocate,
     augment_intra,
     b_vector,
     max_feasible_gamma,
@@ -14,12 +18,13 @@ from schur_alloc import (
     schur_complement,
     split,
 )
-from schur_alloc._linalg import DEFAULT_RCOND, checked_solve, symmetrize
+from schur_alloc._linalg import DEFAULT_RCOND, check_conditioning, checked_solve, symmetrize
 from schur_alloc.errors import (
     BadIndex,
     DegenerateBVector,
     InputError,
     NumericalError,
+    SchurAllocError,
     SingularComplement,
     SingularComplementBlock,
 )
@@ -410,6 +415,10 @@ class TestMaxFeasibleGamma:
         assert max_feasible_gamma(sp, "A") == max_feasible_gamma(sp, "D") == 1.0
 
     def test_factorizations_per_call(self, monkeypatch):
+        # both caps of a split, as the allocator takes them: each side's own block
+        # minus eps_pd I is factored once, and the gamma = 1 blend once per side that
+        # solves S and t; each side whose own block factors guards its complementary
+        # block once, with an eigvalsh only where certificate (i) does not decide
         counts = {}
 
         def counting(name, original):
@@ -427,39 +436,59 @@ class TestMaxFeasibleGamma:
                 return False
             return True
 
-        guard = schur.check_conditioning
+        check = schur.check_conditioning
 
-        def counted_guard(*args):
+        def counted_check(*args):
             # the guard's own eigvalsh is counted apart from the pencil's
-            counts["guard"] = counts.get("guard", 0) + 1
+            counts["eigvalsh_guard"] = counts.get("eigvalsh_guard", 0) + 1
             pencil = counts.get("eigvalsh", 0)
             try:
-                guard(*args)
+                check(*args)
             finally:
                 counts["eigvalsh"] = pencil
+
+        certificates = []
+        guard = schur._guard
+
+        def recorded_guard(matrix, rcond, exc, certificate):
+            certificates.append(certificate)
+            return guard(matrix, rcond, exc, certificate)
 
         for name in ("cholesky", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for name in ("schur_complement", "b_vector"):
             monkeypatch.setattr(schur, name, counting(name, getattr(schur, name)))
-        monkeypatch.setattr(schur, "check_conditioning", counted_guard)
-        pencils = 0
+        monkeypatch.setattr(schur, "check_conditioning", counted_check)
+        monkeypatch.setattr(schur, "_guard", recorded_guard)
+        pencils = certified = uncertified = 0
         for _, cov, k in cap_corpus(12, 3):
+            counts.clear()
+            certificates.clear()
+            sp = split(cov, k)
             for side in ("A", "D"):
-                counts.clear()
-                sp = split(cov, k)
                 max_feasible_gamma(sp, side)
-                assert counts["guard"] == 1
-                assert counts.get("cholesky", 0) <= 2 and counts.get("eigvalsh", 0) <= 1
-                assert "schur_complement" not in counts and "b_vector" not in counts
-                # the pencil is solved only where the gamma = 1 blend is not PD
-                if counts.get("cholesky", 0) == 2:
-                    pencils += counts.get("eigvalsh", 0)
-                    own = sp.a if side == "A" else sp.d
-                    blend = (own - 1e-8 * np.eye(own.shape[0])
-                             - schur._product(sp, side, "S", DEFAULT_RCOND))
-                    assert counts.get("eigvalsh", 0) == (0 if positive_definite(blend) else 1)
-        assert pencils > 0
+            seen = dict(counts)
+            solved = [side for side in ("A", "D") if (side, "S", DEFAULT_RCOND) in sp._solved]
+            factored = [side for side in ("A", "D") if shifted_is_pd(sp, side)]
+            assert seen.get("cholesky", 0) == 2 + len(solved)
+            assert "schur_complement" not in seen and "b_vector" not in seen
+            assert len(certificates) == len(factored) and set(solved) <= set(factored)
+            assert set(certificates) <= {True, None}
+            assert seen.get("eigvalsh_guard", 0) == certificates.count(None)
+            certified += certificates.count(True)
+            uncertified += certificates.count(None)
+            # the pencil is solved only where the gamma = 1 blend is not PD
+            blends_not_pd = 0
+            for side in solved:
+                own = sp.a if side == "A" else sp.d
+                blend = own - 1e-8 * np.eye(len(own)) - schur._product(sp, side, "S",
+                                                                        DEFAULT_RCOND)
+                blends_not_pd += not positive_definite(blend)
+            assert seen.get("eigvalsh", 0) == blends_not_pd
+            pencils += blends_not_pd
+            # no factor outlives both caps
+            assert not any(key[1] == "factor" for key in sp._solved)
+        assert pencils > 0 and certified > 0 and uncertified > 0
 
     def test_pd_limit_binds_below_t_lt_n(self):
         # five assets from four observations: rank 3, so A - S is singular, while
@@ -522,28 +551,52 @@ class TestSolvedOnce:
         # A's complementary block is 3x3 and D's is 4x4
         assert solves.count((3, 3)) <= 2 and solves.count((4, 4)) <= 2
 
-    def test_one_guard_per_complementary_block(self, monkeypatch):
-        # the cap, augment_intra and b_vector, with and without a carry, share one
-        # verdict per side; the other guard calls are on the augmented matrices
+    @staticmethod
+    def complementary_guards(monkeypatch, capped):
+        """Each side's certificates and eigvalsh calls on its complementary block, over
+        the cap, augment_intra and b_vector, with and without a carry, at two gammas."""
         sp = split(random_pd(np.random.default_rng(8), 9, ridge=0.01), 5)
-        guarded = {"A": 0, "D": 0}
-        guard = schur.check_conditioning
+        guarded = {"A": [], "D": []}
+        eigvalsh_on_blocks = []
+        guard, check = schur._guard, schur.check_conditioning
 
-        def counting(matrix, *args):
+        def side_of(matrix):
+            return "A" if matrix.shape[0] == 4 else "D"
+
+        def counting_guard(matrix, rcond, exc, certificate):
             if np.shares_memory(matrix, sp.parent):
-                guarded["A" if matrix.shape[0] == 4 else "D"] += 1
-            return guard(matrix, *args)
+                guarded[side_of(matrix)].append(certificate)
+            return guard(matrix, rcond, exc, certificate)
 
-        monkeypatch.setattr(schur, "check_conditioning", counting)
+        def counting_check(matrix, *args):
+            if np.shares_memory(matrix, sp.parent):
+                eigvalsh_on_blocks.append(side_of(matrix))
+            return check(matrix, *args)
+
+        monkeypatch.setattr(schur, "_guard", counting_guard)
+        monkeypatch.setattr(schur, "check_conditioning", counting_check)
         carry = np.random.default_rng(9).uniform(0.5, 1.5, 9)
-        cap = min(max_feasible_gamma(sp, side) for side in ("A", "D"))
+        cap = min(max_feasible_gamma(split(sp.parent.copy(), 5), side) for side in ("A", "D"))
         assert 0.0 < cap
+        if capped:
+            assert cap == min(max_feasible_gamma(sp, side) for side in ("A", "D"))
         for gammas in (GammaPair(0.5 * cap), GammaPair(0.25 * cap, 0.5 * cap)):
             for side in ("A", "D"):
                 augment_intra(sp, side, gammas)
                 b_vector(sp, side, gammas.gamma_b)
                 b_vector(sp, side, gammas.gamma_b, carry=carry)
-        assert guarded == {"A": 1, "D": 1}
+        return guarded, eigvalsh_on_blocks
+
+    def test_one_guard_per_complementary_block(self, monkeypatch):
+        # the cap, augment_intra and b_vector share one verdict per side, which
+        # certificate (i) gives without an eigvalsh; the other guard calls are on
+        # the augmented matrices
+        guarded, eigvalsh_on_blocks = self.complementary_guards(monkeypatch, capped=True)
+        assert guarded == {"A": [True], "D": [True]} and eigvalsh_on_blocks == []
+
+    def test_one_eigvalsh_per_complementary_block_without_cap(self, monkeypatch):
+        guarded, eigvalsh_on_blocks = self.complementary_guards(monkeypatch, capped=False)
+        assert guarded == {"A": [None], "D": [None]} and eigvalsh_on_blocks == ["A", "D"]
 
     def test_singular_complementary_block_caps_at_zero(self, monkeypatch):
         cov = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -559,3 +612,108 @@ class TestSolvedOnce:
         with pytest.raises(SingularComplementBlock):
             b_vector(sp, "A", 0.5, carry=np.ones(3))
         assert guards == [(2, 2)] and solves == []
+
+
+def factor_model_sample(n: int, seed: int) -> np.ndarray:
+    """A sample covariance of T = 3n draws from a 10-factor model with a market
+    factor, as the benchmark's `scale_1000` workload draws them."""
+    rng = np.random.default_rng(seed)
+    loadings = rng.normal(0.0, 0.25, (n, 10))
+    loadings[:, 0] += 0.6
+    true = loadings @ loadings.T + np.diag(rng.uniform(0.2, 0.6, n))
+    draws = rng.standard_normal((3 * n, n)) @ np.linalg.cholesky(true).T
+    return np.cov(draws, rowvar=False)
+
+
+def audit_inputs():
+    """(covariance, config) pairs for the certificate audit: the cap corpus, the
+    property suite's three hard-input generators and one factor-model sample."""
+    from test_properties import CONFIGS, ill_scaled, near_duplicate, t_lt_n
+
+    for index, (_, cov, _) in enumerate(cap_corpus(11, 12)):
+        yield cov, AllocationConfig(terminal_size=1 + 4 * (index % 2))
+    for seed in range(30):
+        make = (t_lt_n, ill_scaled, near_duplicate)[seed % 3]
+        cov = make(np.random.default_rng(seed), 6 + seed % 19)
+        for config in CONFIGS.values():
+            yield cov, replace(config, terminal_size=1 + 4 * (seed % 2))
+    yield factor_model_sample(250, 101), AllocationConfig()
+
+
+class TestCertificates:
+    def test_every_certified_verdict_matches_eigvalsh(self, monkeypatch):
+        # eigvalsh runs again wherever a certificate decided, and must agree
+        decided, disagreements = {}, []
+        guard = schur._guard
+
+        def audited(matrix, rcond, exc, certificate):
+            if certificate is not None:
+                try:
+                    check_conditioning(matrix, rcond, exc)
+                    passes = True
+                except exc:
+                    passes = False
+                kind = (exc.__name__, certificate is True)
+                decided[kind] = decided.get(kind, 0) + 1
+                if passes != (certificate is True):
+                    disagreements.append((kind, matrix.shape))
+            return guard(matrix, rcond, exc, certificate)
+
+        monkeypatch.setattr(schur, "_guard", audited)
+        for cov, config in audit_inputs():
+            for gamma in (0.5, 1.0):
+                try:
+                    allocate(cov, config.with_gamma(gamma))
+                except SchurAllocError:
+                    pass
+        assert disagreements == []
+        # (i) passes complementary blocks; (ii) passes and (iii) fails augmented matrices
+        assert set(decided) == {("SingularComplementBlock", True), ("SingularComplement", True),
+                                ("SingularComplement", False)}
+        assert min(decided.values()) >= 20
+
+    def test_cap_off_decides_every_guard_by_eigvalsh(self, monkeypatch):
+        certificates = []
+        guard = schur._guard
+
+        def recorded(matrix, rcond, exc, certificate):
+            certificates.append(certificate)
+            return guard(matrix, rcond, exc, certificate)
+
+        monkeypatch.setattr(schur, "_guard", recorded)
+        allocate(factor_model_sample(60, 7), AllocationConfig(gammas=1.0, adaptive_cap=False))
+        assert len(certificates) > 0 and set(certificates) == {None}
+
+    def test_factor_model_factorizations_per_call(self, monkeypatch):
+        # n = 250 at gamma 1: 63 splits, 54 halvings and 64 terminal blocks, each
+        # terminal guarded by an eigvalsh. Each split factors both sides' blocks and
+        # both gamma = 1 blends. Every guard an eigvalsh, the call took 389
+        cov = factor_model_sample(250, 101)
+        counts = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        report = allocate(cov, AllocationConfig(gammas=1.0))
+        assert len(report.splits) == 63 and sum(s.halvings for s in report.splits) == 54
+        assert counts == {"cholesky": 4 * 63, "eigvalsh": 103}
+
+    def test_split_side_holds_two_blocks(self):
+        # own - gamma S is built and symmetrized in one buffer and divided by b b'
+        # into it: the complement and one temporary, not three blocks
+        sp = split(random_pd(np.random.default_rng(3), 1000, ridge=0.01), 500)
+        gammas = GammaPair(0.5 * min(max_feasible_gamma(sp, side) for side in ("A", "D")))
+        block = 500 * 500 * 8
+        for side in ("A", "D"):
+            tracemalloc.start()
+            try:
+                augment_intra(sp, side, gammas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * block + 2 ** 20

@@ -26,16 +26,15 @@ def _reference_single_linkage_order(dist: np.ndarray) -> list[int]:
     """Single-linkage leaf order by merging one closest cluster pair at a time.
 
     The cubic routine `_single_linkage_order` replaced, kept as its oracle.
-    Merge selection is by minimum linkage distance with exact ties broken by
-    the lexicographically smallest pair of cluster ids, where a cluster's id
-    is its smallest original index. Within a merge the child with the smaller
-    (total-distance-mass, id) key is placed first.
+    A cluster's key is the smallest (total-distance-mass, index) of its
+    assets. Merge selection is by minimum linkage distance with exact ties
+    broken by the lexicographically smallest pair of cluster keys. Within a
+    merge the child with the smaller key is placed first.
     """
     n = dist.shape[0]
     rowmass = dist.sum(axis=1)
 
     leaves = [[i] for i in range(n)]           # leaf lists per live cluster
-    ids = list(range(n))                       # smallest original index per cluster
     keys = [(rowmass[i], i) for i in range(n)]  # ordering key per cluster
     link = dist.copy()
     np.fill_diagonal(link, np.inf)
@@ -51,13 +50,12 @@ def _reference_single_linkage_order(dist: np.ndarray) -> list[int]:
             if ti >= tj:
                 continue
             i, j = alive[ti], alive[tj]
-            pair_ids = (min(ids[i], ids[j]), max(ids[i], ids[j]))
-            if best is None or pair_ids < best[0]:
-                best = (pair_ids, (i, j))
+            pair_keys = (min(keys[i], keys[j]), max(keys[i], keys[j]))
+            if best is None or pair_keys < best[0]:
+                best = (pair_keys, (i, j))
         i, j = best[1]
         first, second = (i, j) if keys[i] <= keys[j] else (j, i)
         leaves[i] = leaves[first] + leaves[second]
-        ids[i] = min(ids[i], ids[j])
         keys[i] = min(keys[i], keys[j])
         merged_link = np.minimum(link[i], link[j])
         link[i] = merged_link
@@ -208,6 +206,23 @@ class TestSeriate:
             relabeled = seriate(permute_matrix(cov, p)).order
             # position i of the relabeled matrix is original asset p.order[i]
             assert tuple(p.order[i] for i in relabeled) == base
+
+
+    def test_tied_distances_equivariant_under_relabeling(self):
+        # integer distances between points of a small grid tie three or more
+        # clusters at many heights; one far asset, at 100 + i / 1000 from asset i,
+        # makes every row mass differ, so the ties must follow the assets
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            points = rng.integers(0, 4, (n, 2))
+            dist = np.zeros((n + 1, n + 1))
+            dist[:n, :n] = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+            dist[n, :n] = dist[:n, n] = 100.0 + np.arange(n) / 1000.0
+            assert len(set(dist.sum(axis=1).tolist())) == n + 1
+            perm = rng.permutation(n + 1)
+            relabeled = _single_linkage_order(dist[np.ix_(perm, perm)])
+            assert [int(perm[i]) for i in relabeled] == _single_linkage_order(dist)
 
 
 class TestSingleLinkageOracle:
