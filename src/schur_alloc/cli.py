@@ -39,8 +39,10 @@ EXIT_NUMERICAL = 3
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("SCHUR_ALLOC_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR),
+    # a level name is an int attribute of logging; any other name (BASIC_FORMAT is a
+    # string attribute) falls back to ERROR
+    level = getattr(logging, os.environ.get("SCHUR_ALLOC_LOG", "error").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -92,15 +92,21 @@ def _portfolio_variance(values: np.ndarray, w) -> float:
 
 def fitness(cov, kind: str, child_weights=None,
             shrink_grid_step: float = DEFAULT_GRID_STEP, rcond: float = DEFAULT_RCOND) -> float:
-    """Evaluate the inverse fitness nu of a (possibly augmented) covariance block."""
-    return _fitness(cov_values(cov), kind, child_weights,
-                    shrink_grid_step=shrink_grid_step, rcond=rcond)
+    """Evaluate the inverse fitness nu of a (possibly augmented) covariance block.
+
+    `weak_minvar_variance` weak-shrinks the block on the full grid of `weak_shrink`."""
+    values = cov_values(cov)
+    shrunk = None
+    if kind == "weak_minvar_variance":
+        shrunk = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond).weights
+    return _fitness(values, kind, child_weights, shrunk, rcond=rcond)
 
 
 def _fitness(values: np.ndarray, kind: str, child_weights,
              shrunk_weights: np.ndarray | None = None, *,
-             shrink_grid_step: float = DEFAULT_GRID_STEP, rcond: float = DEFAULT_RCOND) -> float:
-    """`fitness` of trusted values; `shrunk_weights`, if given, is `weak_shrink(values).weights`."""
+             rcond: float = DEFAULT_RCOND) -> float:
+    """`fitness` of trusted values; `weak_minvar_variance` reads the handed
+    `shrunk_weights`, the block's weak-shrinkage weights."""
     if kind == "subportfolio_variance":
         if child_weights is None:
             raise InputError("subportfolio_variance requires child weights")
@@ -110,8 +116,6 @@ def _fitness(values: np.ndarray, kind: str, child_weights,
         x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
         return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
-        if shrunk_weights is None:
-            shrunk_weights = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond).weights
         return _portfolio_variance(values, shrunk_weights)
     if kind == "diag_sum_squares":
         return float(np.sum(np.diag(values) ** 2))

@@ -191,12 +191,12 @@ class TestAllocateFootprint:
         cov = random_pd(np.random.default_rng(12), 40)
         allocate(cov, AllocationConfig().with_gamma(gamma))
         assert calls == [(40, 40)]
-        # the paper's configuration: the input once, then each of the 14 weak_shrink
-        # calls once on its own block, not again when it builds the shrunk matrix
+        # the paper's configuration: the input once; its 14 weak shrinkages search
+        # the trusted blocks the recursion derives and validate none of them
         calls.clear()
         report = allocate(desk, default_allocation().with_gamma(gamma))
         assert len(report.splits) == 7
-        assert calls[0] == (40, 40) and len(calls) == 15
+        assert calls == [(40, 40)]
 
     @pytest.mark.parametrize("mode", ["hrp", "schur_literal", "schur_debiased"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -215,21 +215,68 @@ class TestAllocateFootprint:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_terminal_block_shrunk_once(self, monkeypatch, gamma):
         # a weak_minvar terminal's shrinkage serves its parent's weak_minvar_variance
-        # fitness: 8 terminals and 7 splits make 14 calls, not 8 + 14
+        # fitness: 8 terminals and 7 splits make 14 searches, not 8 + 14, and the
+        # recursion never runs the public full-grid weak_shrink
         inputs = []
 
-        def counted(cov, *args, **kwargs):
-            values = np.asarray(cov)
+        def counted(values):
             inputs.append((values.shape, values.tobytes()))
-            return shrink(cov, *args, **kwargs)
+            return search(values)
 
-        shrink = shrinkage.weak_shrink
-        monkeypatch.setattr(allocator, "weak_shrink", counted)
-        monkeypatch.setattr(portfolio, "weak_shrink", counted)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weak_shrink called inside allocate")
+
+        search = shrinkage._search_xi
+        monkeypatch.setattr(allocator, "_search_xi", counted)
+        monkeypatch.setattr(shrinkage, "weak_shrink", forbidden)
+        monkeypatch.setattr(portfolio, "weak_shrink", forbidden)
         report = allocate(desk_estimate(), default_allocation().with_gamma(gamma))
         assert len(report.splits) == 7
         assert len(inputs) == 14
         assert len(set(inputs)) == len(inputs)
+
+    def test_search_picks_weak_shrink_xi_on_the_desk_reference(self, monkeypatch):
+        # every block the paper's configuration shrinks in the desk reference estimate
+        # (trial 0 at seed 0), at each gamma of the sweep, gets the full grid's xi and,
+        # bitwise, its weights and clipped variance
+        picks = []
+
+        def recording(values):
+            result = search(values)
+            picks.append((values, result))
+            return result
+
+        search = shrinkage._search_xi
+        monkeypatch.setattr(allocator, "_search_xi", recording)
+        for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+            allocate(desk_estimate(0), default_allocation().with_gamma(gamma))
+        assert len(picks) == 5 * 14
+        for values, (xi, weights, variance) in picks:
+            full = shrinkage.weak_shrink(values)
+            assert (xi, variance) == (full.xi, full.clipped_variance)
+            assert weights.tobytes() == full.weights.tobytes()
+
+    def test_search_keeps_the_zero_variance_check(self, monkeypatch):
+        # the search rejects a non-positive variance as weak_shrink does; T < n with the
+        # cap off gives an augmented block one at gamma 1, and allocate reports NotPSD
+        with pytest.raises(ZeroVariance):
+            shrinkage._search_xi(np.array([[0.0, 0.1], [0.1, 1.0]]))
+        raised = []
+
+        def recording(values):
+            try:
+                return search(values)
+            except ZeroVariance:
+                raised.append(values.shape)
+                raise
+
+        search = shrinkage._search_xi
+        monkeypatch.setattr(allocator, "_search_xi", recording)
+        cov = np.cov(np.random.default_rng(0).standard_normal((4, 6)), rowvar=False)
+        with pytest.raises(NotPSD) as info:
+            allocate(cov, AllocationConfig(gammas=1.0, adaptive_cap=False, terminal="weak_minvar"))
+        assert isinstance(info.value.__cause__, ZeroVariance)
+        assert len(raised) == 1
 
     def test_terminal_shrinkage_reaches_its_own_fitness(self, monkeypatch):
         # each child's nu, handed a terminal's shrunk weights or not, must equal the public
@@ -249,14 +296,17 @@ class TestAllocateFootprint:
                 allocate(desk_estimate(trial), cfg.with_gamma(gamma))
         assert len(recorded) == 2 * 3 * 14
         for values, child_weights, handed, thresholds, nu in recorded:
-            # the recursion runs fitness at its default thresholds
+            # the recursion runs fitness at its default thresholds, and hands every
+            # child the weights of its own search
             assert thresholds == {}
-            assert (handed is not None) == (1 < values.shape[0] <= cfg.terminal_size)
-            if handed is not None:
+            _, searched, _ = shrinkage._search_xi(values)
+            assert handed.tobytes() == searched.tobytes()
+            if 1 < values.shape[0] <= cfg.terminal_size:
                 # a weak terminal's weights are the very vector it hands up
                 assert child_weights.tobytes() == handed.tobytes()
-            fresh = fitness(values, "weak_minvar_variance")
-            assert nu == fresh
+            assert nu == portfolio._fitness(values, "weak_minvar_variance", None, searched)
+            # the search picks the full grid's xi here, and its weights bitwise
+            assert nu == fitness(values, "weak_minvar_variance")
 
     @pytest.mark.parametrize("samples", [30, 12])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -210,3 +211,17 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestLogging:
+    @pytest.mark.parametrize("name, level", [("warning", logging.WARNING), ("Debug", logging.DEBUG),
+                                             ("basic_format", logging.ERROR),
+                                             ("nonsense", logging.ERROR)])
+    def test_level_from_environment(self, monkeypatch, equi3_csv, tmp_path, name, level):
+        # only an int attribute of logging names a level: BASIC_FORMAT is a string,
+        # which basicConfig would reject with ValueError before any command ran
+        seen = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.append(kwargs["level"]))
+        monkeypatch.setenv("SCHUR_ALLOC_LOG", name)
+        assert main(["seriate", "--cov", equi3_csv, "--out", str(tmp_path / "order.json")]) == 0
+        assert seen == [level]

@@ -8,11 +8,49 @@ from hypothesis import strategies as st
 from schur_alloc import long_only_clip, scale_off_diagonal, shrinkage, weak_shrink
 from schur_alloc._linalg import DEFAULT_RCOND, symmetrize
 from schur_alloc.covmat import cov_values
-from schur_alloc.errors import AllNonPositive, NoFeasibleXi, XiOutOfRange, ZeroVariance
+from schur_alloc.errors import (
+    AllNonPositive,
+    NoFeasibleXi,
+    SchurAllocError,
+    XiOutOfRange,
+    ZeroVariance,
+)
 from schur_alloc.seriation import Permutation, permute_matrix
 from schur_alloc.shrinkage import DEFAULT_GRID_STEP, MIN_GRID_STEP, ShrinkageResult
 
 from conftest import UNSTABLE_4X4, random_pd
+from test_properties import ill_scaled, near_duplicate, t_lt_n
+
+# A near-singular 4x4 block that the paper's configuration shrinks at terminal_size 1
+# and gamma 1 in a 15-asset T < n estimate (the 73rd matrix of the hard-input corpus
+# drawn at seed 7). Its clipped variance dips to its minimum at xi = 0.999, past the
+# coarse minimum at 0.96; a window around that minimum alone takes 0.970, whose
+# clipped variance is 63% higher.
+DIP_NEAR_ONE_4X4 = np.array([
+    [5.1861788892332628e-05, 4.7511859544945222e-05,
+     -3.5338294095390763e-04, 2.4796117149337510e-04],
+    [4.7511859544945222e-05, 5.0480048871874766e-05,
+     -3.8972943455502592e-04, 2.7232738931512061e-04],
+    [-3.5338294095390763e-04, -3.8972943455502592e-04,
+     3.0524264336381180e-03, -2.1281642570343279e-03],
+    [2.4796117149337510e-04, 2.7232738931512061e-04,
+     -2.1281642570343279e-03, 1.4844063293615571e-03],
+])
+# A 5x5 block of a 22-asset T < n estimate (hard-input corpus at seed 8, its 97th
+# matrix), singular at xi = 1: its curve falls from 0.0244 at xi = 0.98 to 0.0099 at
+# 0.998, which only the window at the end of the grid reaches.
+DIP_BEFORE_SINGULAR_5X5 = np.array([
+    [0.9121892209182759, -0.09743750907228471, -0.8588275655810953, -0.08989479345959983,
+     -0.4191445367404082],
+    [-0.09743750907228471, 0.3486529077998873, 0.5166320678570145, -0.9136475135028733,
+     -0.34397780316039744],
+    [-0.8588275655810953, 0.5166320678570145, 2.1225798557579796, -0.8339047613017152,
+     0.35563606221300886],
+    [-0.08989479345959983, -0.9136475135028733, -0.8339047613017152, 2.6184225107067407,
+     1.2541742394538948],
+    [-0.4191445367404082, -0.34397780316039744, 0.35563606221300886, 1.2541742394538948,
+     0.9092054701956621],
+])
 
 
 def _reference_weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
@@ -366,3 +404,140 @@ class TestWeakShrink:
             np.testing.assert_allclose(result.weights, expected.weights,
                                        rtol=0, atol=1e-12 * scale)
         assert weak_shrink(np.diag([1.0, 2.0, 3.0]), grid_step=0.01).xi == 0.0
+
+
+    def test_grid_step_rounds_to_a_whole_number_of_steps(self, unstable_4x4):
+        # the grid has round(1 / step) equal steps: 0.3 searches thirds, 0.26 quarters
+        for step, steps in ((0.3, 3), (0.26, 4), (0.001, 1000)):
+            result = weak_shrink(unstable_4x4, grid_step=step)
+            searched = np.sort(np.concatenate((result.curve[:, 0], result.skipped)))
+            np.testing.assert_array_equal(searched, np.linspace(0.0, 1.0, steps + 1), strict=True)
+
+
+def small_block(seed: int) -> np.ndarray:
+    """A 4..8-asset covariance: a T < n sample covariance plus a 1e-3 ridge for
+    seed % 3 == 1, a random positive-definite matrix for seed % 3 == 2."""
+    rng = np.random.default_rng([99, seed])
+    n = int(rng.integers(4, 9))
+    if seed % 3 == 1:
+        return sample_covariance(rng, n, int(rng.integers(2, n + 1))) + 1e-3 * np.eye(n)
+    m = rng.standard_normal((n, n))
+    return m @ m.T + rng.uniform(0.01, 1.0) * np.eye(n)
+
+
+class TestSearchXi:
+    """The recursion's coarse-to-fine search against the full grid of `weak_shrink`."""
+
+    @staticmethod
+    def scanned_rows(monkeypatch) -> list[int]:
+        rows = []
+
+        def counted(values, spectrum, xis, rcond):
+            rows.append(xis.size)
+            return scan(values, spectrum, xis, rcond)
+
+        scan = shrinkage._scan
+        monkeypatch.setattr(shrinkage, "_scan", counted)
+        return rows
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([t_lt_n, ill_scaled, near_duplicate]),
+           n=st.integers(6, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_pick_is_the_minimum_row_of_the_full_curve(self, seed, make, n):
+        cov = make(np.random.default_rng(seed), n)
+        try:
+            full = weak_shrink(cov)
+        except SchurAllocError as exc:
+            with pytest.raises(type(exc)):
+                shrinkage._search_xi(cov)
+            return
+        xi, weights, variance = shrinkage._search_xi(cov)
+        row = full.curve[full.curve[:, 0] == xi]
+        assert row.shape == (1, 2)
+        assert variance == pytest.approx(row[0, 1], rel=1e-14, abs=0)
+        # and that row is the curve's minimum: a search that stops at some coarse
+        # point, or misses a dip, scores higher
+        assert variance <= full.clipped_variance + 1e-14 * abs(full.clipped_variance)
+        assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cov, xi", [
+        (UNSTABLE_4X4, 0.976),
+        (DIP_NEAR_ONE_4X4, 0.999),
+        (DIP_BEFORE_SINGULAR_5X5, 0.998),
+        # the lowest coarse point is 0.98; the dip at 0.953 lies two coarse steps
+        # below it, past 0.96, which is no local minimum
+        (small_block(31016), 0.953),
+        # a dip at 0.975, inside the last two coarse steps but not the last one
+        (small_block(16450), 0.975),
+        # two dips: the coarse minimum at 0.86 and, lower between coarse points, 0.915
+        # next to the second coarse minimum at 0.92
+        (small_block(26599), 0.915),
+        # a T < n sample covariance whose lowest coarse point is 0.84 and whose kink
+        # dips at 0.871, in the step past 0.86, the third-lowest coarse point; a
+        # window of one step around 0.84 took 0.838, at 7.2e-4 higher clipped variance
+        (t_lt_n(np.random.default_rng([39570, 11]), 11), 0.871),
+        # a kink: the curve falls from 0.912 to 0.933, where a weight reaches zero, and
+        # jumps; neither end of that coarse step is a minimum nor within two steps of
+        # the lowest coarse point, 0.88, which took 0.890 at 1.1e-4 higher variance
+        (ill_scaled(np.random.default_rng([71970, 17]), 17), 0.933),
+    ])
+    def test_fixed_blocks_pick_the_full_grid_xi(self, cov, xi):
+        full = weak_shrink(cov)
+        picked, weights, variance = shrinkage._search_xi(cov)
+        assert full.xi == picked and round(picked, 3) == xi
+        assert variance == pytest.approx(full.clipped_variance, rel=1e-14, abs=0)
+        np.testing.assert_allclose(weights, full.weights, rtol=0, atol=1e-12)
+
+    def test_scans_the_windows_and_the_kinks_near_the_minimum(self, monkeypatch):
+        # 51 coarse points, then windows of 81 points around the lowest coarse point
+        # and of 41 around the second-lowest coarse minimum and 0.98, and the 21 points
+        # of each coarse step near the lowest whose set of positive weights changes
+        scans = []
+
+        def recorded(values, spectrum, xis, rcond):
+            result = scan(values, spectrum, xis, rcond)
+            scans.append((xis.size, result))
+            return result
+
+        scan = shrinkage._scan
+        monkeypatch.setattr(shrinkage, "_scan", recorded)
+        kinked = 0
+        for cov in reference_corpus() + [np.diag([1.0, 2.0, 3.0]), small_block(16450)]:
+            scans.clear()
+            shrinkage._search_xi(cov)
+            (coarse, (valid, variances, turns, _, _)), (fine, _) = scans
+            curve = np.where(valid, variances, np.inf)
+            near = np.minimum(curve[:-1], curve[1:]) <= curve.min() * (1.0 + 1e-3)
+            kinks = int(np.sum(turns[1:] & near))
+            kinked += kinks > 0
+            assert coarse == 51 and fine <= 163 + 21 * kinks
+        assert kinked > 0
+        assert shrinkage._search_xi(np.diag([1.0, 2.0, 3.0]))[0] == 0.0
+
+    def test_turns_do_not_depend_on_the_chunks(self, monkeypatch):
+        # a change of the positive weights between the last point of one chunk and the
+        # first of the next is reported as it is within a chunk
+        values = ill_scaled(np.random.default_rng([71970, 17]), 17)
+        spectrum = shrinkage._spectrum(values)
+        xis = np.linspace(0.0, 1.0, 1001)[::20]
+        whole = shrinkage._scan(values, spectrum, xis, DEFAULT_RCOND)
+        monkeypatch.setattr(shrinkage, "_GRID_CHUNK", 3 * values.shape[0])
+        chunked = shrinkage._scan(values, spectrum, xis, DEFAULT_RCOND)
+        assert whole[2].sum() > 1
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[2], whole[2])
+
+    @pytest.mark.parametrize("cov, error", [
+        (np.diag([1e-310, 1e-310]), NoFeasibleXi),
+        (np.array([[0.0, 0.1], [0.1, 1.0]]), ZeroVariance),
+    ])
+    def test_raises_where_weak_shrink_raises(self, monkeypatch, cov, error):
+        # subnormal variances overflow every grid point's solve: with no coarse point
+        # feasible the whole grid is scanned before NoFeasibleXi
+        rows = self.scanned_rows(monkeypatch)
+        with pytest.raises(error):
+            weak_shrink(cov)
+        with pytest.raises(error):
+            shrinkage._search_xi(cov)
+        assert rows == ([1001, 51, 1001] if error is NoFeasibleXi else [])
