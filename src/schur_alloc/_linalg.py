@@ -13,13 +13,14 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Solves are rejected when the reciprocal condition number falls below this.
+# Solves are rejected when the reciprocal condition number falls below this; the
+# budget tests, weak shrinkage's grid-point test and the cap's certificates read it too.
 DEFAULT_RCOND = 1e-12
 
 
-def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
+def check_conditioning(matrix: np.ndarray,
                        exc: type[NumericalError] = NumericalError) -> None:
-    """Raise `exc` when |lambda|_min / |lambda|_max < rcond, or when |lambda|_max
+    """Raise `exc` when |lambda|_min / |lambda|_max < DEFAULT_RCOND, or when |lambda|_max
     is zero, NaN or subnormal: a ratio test, so Sigma and c * Sigma get one verdict
     at every size, and a 1x1 matrix that passes has a finite reciprocal.
 
@@ -27,7 +28,7 @@ def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
     """
     magnitudes = np.abs(np.linalg.eigvalsh(matrix))
     largest, smallest = magnitudes.max(), magnitudes.min()
-    if not largest >= np.finfo(float).tiny or smallest / largest < rcond:
+    if not largest >= np.finfo(float).tiny or smallest / largest < DEFAULT_RCOND:
         raise exc(
             f"matrix is singular or ill-conditioned (rcond ~ "
             f"{smallest / max(largest, np.finfo(float).tiny):.2e})"
@@ -35,12 +36,11 @@ def check_conditioning(matrix: np.ndarray, rcond: float = DEFAULT_RCOND,
 
 
 def checked_solve(matrix: np.ndarray, rhs: np.ndarray,
-                  rcond: float = DEFAULT_RCOND,
                   exc: type[NumericalError] = NumericalError) -> np.ndarray:
     """Solve matrix @ x = rhs for a symmetric matrix, raising `exc` on singular or
     ill-conditioned input."""
     matrix = np.asarray(matrix, dtype=float)
-    check_conditioning(matrix, rcond, exc)
+    check_conditioning(matrix, exc)
     return _solve(matrix, rhs, exc)
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import DEFAULT_RCOND, checked_solve
+from ._linalg import checked_solve
 from .covmat import CovarianceMatrix, cov_values
 from .errors import InputError, NotPSD, NumericalError, SingularComplement, ZeroVariance
 from .portfolio import FITNESS_KINDS, ScaledSolution, _fitness, _min_var_unit, budget
@@ -160,9 +160,12 @@ class AllocationReport:
 def _terminal_weights(block: np.ndarray,
                       config: AllocationConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """A terminal block's weights, and its weak-shrinkage weights (or None) for its fitness:
-    a `weak_minvar` block's weights are that vector, searched and judged once by `_search_xi`."""
+    a `weak_minvar` block's weights are that vector, searched and judged once by `_search_xi`.
+    A 1x1 block's weak-shrinkage weights are [1.0] at every xi, so none is searched."""
     n = block.shape[0]
-    if n == 1 or config.terminal == "equal_weight":
+    if n == 1:
+        return np.ones(1), np.ones(1)
+    if config.terminal == "equal_weight":
         return np.full(n, 1.0 / n), None
     if config.terminal == "minvar":
         return _min_var_unit(block), None
@@ -297,8 +300,7 @@ def allocate(cov, config: AllocationConfig | None = None) -> AllocationReport:
 
 
 def allocate_exact(cov, b=None, gammas: GammaPair | float | tuple | list = 1.0, m: int = 1,
-                   split_at: Callable[[int], int] | None = None,
-                   rcond: float = DEFAULT_RCOND) -> ScaledSolution:
+                   split_at: Callable[[int], int] | None = None) -> ScaledSolution:
     """Constraint-propagating recursion; equals Sigma^-1 b exactly at gamma = 1.
 
     split_at maps a block size n to a split index in [1, n-1]; the default is
@@ -319,18 +321,18 @@ def allocate_exact(cov, b=None, gammas: GammaPair | float | tuple | list = 1.0, 
     def recurse(block: np.ndarray, carry: np.ndarray) -> np.ndarray:
         size = block.shape[0]
         if size <= m:
-            return checked_solve(block, carry, rcond=rcond, exc=SingularComplement)
+            return checked_solve(block, carry, exc=SingularComplement)
         k = split_at(size) if split_at is not None else math.ceil(size / 2)
         sp = split(block, k)
-        comp_head = schur_complement(sp, "A", gammas.gamma_c, rcond=rcond)
-        comp_tail = schur_complement(sp, "D", gammas.gamma_c, rcond=rcond)
-        carry_head = b_vector(sp, "A", gammas.gamma_b, carry=carry, rcond=rcond)
-        carry_tail = b_vector(sp, "D", gammas.gamma_b, carry=carry, rcond=rcond)
+        comp_head = schur_complement(sp, "A", gammas.gamma_c)
+        comp_tail = schur_complement(sp, "D", gammas.gamma_c)
+        carry_head = b_vector(sp, "A", gammas.gamma_b, carry=carry)
+        carry_tail = b_vector(sp, "D", gammas.gamma_b, carry=carry)
         return np.concatenate([
             recurse(comp_head, carry_head),
             recurse(comp_tail, carry_tail),
         ])
 
     x = recurse(values, b)
-    denom = budget(b, x, rcond, NumericalError, "b' x vanishes; cannot normalize exact solution")
+    denom = budget(b, x, NumericalError, "b' x vanishes; cannot normalize exact solution")
     return ScaledSolution(values=x, fitness=1.0 / denom, weights=x / denom)

@@ -17,20 +17,17 @@ from .errors import (
     SingularQ,
     ZeroNormalizer,
 )
-from .shrinkage import DEFAULT_GRID_STEP, weak_shrink
+from .shrinkage import weak_shrink
 
 # Inverse fitness measures nu(). Inter-group capital is split 1/nu : 1/nu.
 #   subportfolio_variance  w_child' Sigma w_child for the child's own weights
 #   minvar_variance        1 / (1' Sigma^-1 1)
 #   weak_minvar_variance   variance (under Sigma) of the min-var weights of the
 #                          weak-shrunk Sigma
-#   diag_sum_squares       sum_i Sigma_ii^2 -- a diagonal-only rule kept for
-#                          regression tests; not recommended
 FITNESS_KINDS = (
     "subportfolio_variance",
     "minvar_variance",
     "weak_minvar_variance",
-    "diag_sum_squares",
 )
 
 
@@ -47,34 +44,33 @@ class ScaledSolution:
     weights: np.ndarray
 
 
-def budget(b: np.ndarray, x: np.ndarray, rcond: float,
-           exc: type[NumericalError], message: str) -> float:
-    """b' x, raising `exc` when |b' x| <= rcond * sum|x|, a ratio that reads no units."""
+def budget(b: np.ndarray, x: np.ndarray, exc: type[NumericalError], message: str) -> float:
+    """b' x, raising `exc` when |b' x| <= DEFAULT_RCOND * sum|x|, a ratio that reads no units."""
     denom = float(b @ x)
-    if abs(denom) <= rcond * float(np.abs(x).sum()):
+    if abs(denom) <= DEFAULT_RCOND * float(np.abs(x).sum()):
         raise exc(message)
     return denom
 
 
-def min_var_unit(cov, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def min_var_unit(cov) -> np.ndarray:
     """Minimum-variance weights with a unit budget constraint: Sigma^-1 1 normalized."""
-    return _min_var_unit(cov_values(cov), rcond)
+    return _min_var_unit(cov_values(cov))
 
 
-def _min_var_unit(values: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def _min_var_unit(values: np.ndarray) -> np.ndarray:
     ones = np.ones(values.shape[0])
-    x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
-    return x / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes; weights undefined")
+    x = checked_solve(values, ones, exc=SingularCovariance)
+    return x / budget(ones, x, ZeroNormalizer, "1' Sigma^-1 1 vanishes; weights undefined")
 
 
-def min_var_general(q, b, rcond: float = DEFAULT_RCOND) -> ScaledSolution:
+def min_var_general(q, b) -> ScaledSolution:
     """Minimum variance subject to b' w = 1 (general linear budget)."""
     q = cov_values(q)
     b = np.asarray(b, dtype=float)
     if b.shape != (q.shape[0],):
         raise DimensionMismatch(f"b has shape {b.shape} for a {q.shape} matrix")
-    x = checked_solve(q, b, rcond=rcond, exc=SingularQ)
-    denom = budget(b, x, rcond, DegenerateConstraint,
+    x = checked_solve(q, b, exc=SingularQ)
+    denom = budget(b, x, DegenerateConstraint,
                    "b' Q^-1 b vanishes; constrained portfolio undefined")
     return ScaledSolution(values=x, fitness=1.0 / denom, weights=x / denom)
 
@@ -90,21 +86,17 @@ def _portfolio_variance(values: np.ndarray, w) -> float:
     return float(w @ values @ w)
 
 
-def fitness(cov, kind: str, child_weights=None,
-            shrink_grid_step: float = DEFAULT_GRID_STEP, rcond: float = DEFAULT_RCOND) -> float:
+def fitness(cov, kind: str, child_weights=None) -> float:
     """Evaluate the inverse fitness nu of a (possibly augmented) covariance block.
 
-    `weak_minvar_variance` weak-shrinks the block on the full grid of `weak_shrink`."""
+    `weak_minvar_variance` weak-shrinks the block on the full default grid of `weak_shrink`."""
     values = cov_values(cov)
-    shrunk = None
-    if kind == "weak_minvar_variance":
-        shrunk = weak_shrink(values, grid_step=shrink_grid_step, rcond=rcond).weights
-    return _fitness(values, kind, child_weights, shrunk, rcond=rcond)
+    shrunk = weak_shrink(values).weights if kind == "weak_minvar_variance" else None
+    return _fitness(values, kind, child_weights, shrunk)
 
 
 def _fitness(values: np.ndarray, kind: str, child_weights,
-             shrunk_weights: np.ndarray | None = None, *,
-             rcond: float = DEFAULT_RCOND) -> float:
+             shrunk_weights: np.ndarray | None = None) -> float:
     """`fitness` of trusted values; `weak_minvar_variance` reads the handed
     `shrunk_weights`, the block's weak-shrinkage weights."""
     if kind == "subportfolio_variance":
@@ -113,10 +105,8 @@ def _fitness(values: np.ndarray, kind: str, child_weights,
         return _portfolio_variance(values, child_weights)
     if kind == "minvar_variance":
         ones = np.ones(values.shape[0])
-        x = checked_solve(values, ones, rcond=rcond, exc=SingularCovariance)
-        return 1.0 / budget(ones, x, rcond, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
+        x = checked_solve(values, ones, exc=SingularCovariance)
+        return 1.0 / budget(ones, x, ZeroNormalizer, "1' Sigma^-1 1 vanishes")
     if kind == "weak_minvar_variance":
         return _portfolio_variance(values, shrunk_weights)
-    if kind == "diag_sum_squares":
-        return float(np.sum(np.diag(values) ** 2))
     raise InputError(f"unknown fitness kind {kind!r}; expected one of {FITNESS_KINDS}")

@@ -31,6 +31,8 @@ of slack for rounding:
         min diag(A'') < rcond / 2 * max diag(A'').
 
 With the cap off nothing is factored, and every guard is an `eigvalsh`.
+rcond, eps_pd and eps_b are the constants DEFAULT_RCOND, DEFAULT_EPS_PD and
+DEFAULT_EPS_B, so the split keys what it keeps by side and name alone.
 """
 
 from __future__ import annotations
@@ -104,14 +106,13 @@ class GammaPair:
 class BlockSplit:
     """Views of a covariance matrix split at index k.
 
-    The gamma-independent products S and t of each side are solved on first
-    use and kept, keyed by (side, product, rcond), for the life of the split,
-    beside the conditioning verdict on that side's complementary block, keyed
-    by (side, "guard", rcond). The gamma cap keeps whether own - eps_pd I
-    is PD, as (side, "margin") -> (eps_pd, verdict), and (side, "cap") ->
-    (eps_pd, cap). One side's cap leaves the other side's Cholesky factor
-    under (side, "factor") -> (eps_pd, factor or None) until that side's own
-    cap takes it.
+    Entries are keyed by (side, name) and kept for the life of the split.
+    "S" and "t" hold the gamma-independent products, solved on first use, and
+    "guard" the conditioning verdict on that side's complementary block: None,
+    or the message to raise again. The gamma cap keeps "margin", whether
+    own - eps_pd I is PD, and "cap", its result. One side's cap leaves the
+    other side's Cholesky factor (or None) under "factor" until that side's
+    own cap takes it.
     """
 
     parent: np.ndarray
@@ -156,27 +157,26 @@ def _opposite(side: str) -> str:
     return TAIL if side == HEAD else HEAD
 
 
-def _guard(matrix: np.ndarray, rcond: float, exc: type[NumericalError],
-           certificate: bool | str | None) -> None:
-    """check_conditioning(matrix, rcond, exc), unless a certificate has decided:
+def _guard(matrix: np.ndarray, exc: type[NumericalError], certificate: bool | str | None) -> None:
+    """check_conditioning(matrix, exc), unless a certificate has decided:
     True passes, a message raises `exc` with it, and None leaves it to `eigvalsh`."""
     if certificate is None:
-        check_conditioning(matrix, rcond, exc)
+        check_conditioning(matrix, exc)
     elif certificate is not True:
         raise exc(certificate)
 
 
-def _solve_other(sp: BlockSplit, side: str, rhs: np.ndarray, rcond: float) -> np.ndarray:
-    """other^-1 @ rhs. The complementary block is guarded on the first call for
-    (side, rcond), by certificate (i) where the other side's block was factored;
-    a failed verdict is kept and raised again on every later call."""
+def _solve_other(sp: BlockSplit, side: str, rhs: np.ndarray) -> np.ndarray:
+    """other^-1 @ rhs. The complementary block is guarded on the side's first
+    call, by certificate (i) where the other side's block was factored; a
+    failed verdict is kept and raised again on every later call."""
     other = _own_and_other(sp, side)[2]
-    key = (side, "guard", rcond)
+    key = (side, "guard")
     if key not in sp._solved:
-        eps_pd, pd = sp._solved.get((_opposite(side), "margin"), (0.0, False))
-        certified = pd and eps_pd / np.trace(other) >= 2.0 * rcond
+        certified = (sp._solved.get((_opposite(side), "margin"), False)
+                     and DEFAULT_EPS_PD / np.trace(other) >= 2.0 * DEFAULT_RCOND)
         try:
-            _guard(other, rcond, SingularComplementBlock, True if certified else None)
+            _guard(other, SingularComplementBlock, True if certified else None)
             sp._solved[key] = None
         except SingularComplementBlock as err:
             sp._solved[key] = str(err)
@@ -185,30 +185,28 @@ def _solve_other(sp: BlockSplit, side: str, rhs: np.ndarray, rcond: float) -> np
     return _solve(other, rhs, SingularComplementBlock)
 
 
-def _product(sp: BlockSplit, side: str, name: str, rcond: float) -> np.ndarray:
+def _product(sp: BlockSplit, side: str, name: str) -> np.ndarray:
     """S = cross @ other^-1 @ cross' or t = cross @ other^-1 @ 1, solved once."""
-    key = (side, name, rcond)
+    key = (side, name)
     if key not in sp._solved:
         _, cross, other = _own_and_other(sp, side)
         rhs = cross.T if name == "S" else np.ones(other.shape[0])
-        sp._solved[key] = cross @ _solve_other(sp, side, rhs, rcond)
+        sp._solved[key] = cross @ _solve_other(sp, side, rhs)
     return sp._solved[key]
 
 
-def schur_complement(sp: BlockSplit, side: str, gamma_c: float,
-                     rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def schur_complement(sp: BlockSplit, side: str, gamma_c: float) -> np.ndarray:
     """Blended complement: own - gamma_c * cross @ other^-1 @ cross', built and
     symmetrized in one buffer."""
     own, _, _ = _own_and_other(sp, side)
     if gamma_c == 0.0:
         return own.copy()
-    comp = np.multiply(_product(sp, side, "S", rcond), gamma_c)
+    comp = np.multiply(_product(sp, side, "S"), gamma_c)
     return symmetrize(np.subtract(own, comp, out=comp))
 
 
 def b_vector(sp: BlockSplit, side: str, gamma_b: float,
-             carry: np.ndarray | None = None,
-             rcond: float = DEFAULT_RCOND) -> np.ndarray:
+             carry: np.ndarray | None = None) -> np.ndarray:
     """Constraint vector inherited from the complementary block.
 
     With the default all-ones carry this is b = 1 - gamma_b * cross @ other^-1 @ 1;
@@ -217,7 +215,7 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
     own, cross, _ = _own_and_other(sp, side)
     if carry is None:
         ones = np.ones(own.shape[0])
-        return ones if gamma_b == 0.0 else ones - gamma_b * _product(sp, side, "t", rcond)
+        return ones if gamma_b == 0.0 else ones - gamma_b * _product(sp, side, "t")
     n = sp.parent.shape[0]
     carry = np.asarray(carry, dtype=float)
     if carry.shape != (n,):
@@ -228,33 +226,30 @@ def b_vector(sp: BlockSplit, side: str, gamma_b: float,
         carry_own, carry_other = carry[sp.k:], carry[: sp.k]
     if gamma_b == 0.0:
         return carry_own.copy()
-    return carry_own - gamma_b * (cross @ _solve_other(sp, side, carry_other, rcond))
+    return carry_own - gamma_b * (cross @ _solve_other(sp, side, carry_other))
 
 
 def _intra_certificate(sp: BlockSplit, side: str, gamma_c: float, comp: np.ndarray,
-                       b: np.ndarray, rcond: float) -> bool | str | None:
+                       b: np.ndarray) -> bool | str | None:
     """Certificates (ii) and (iii) for A'' = comp / (b b'), or None: both need
     gamma_c under this side's cap, where comp - eps_pd I is PD."""
-    eps_pd, cap = sp._solved.get((side, "cap"), (0.0, -1.0))
-    if not (eps_pd > 0.0 and gamma_c <= cap):
+    if not gamma_c <= sp._solved.get((side, "cap"), -1.0):
         return None
     abs_b = np.abs(b)
-    if eps_pd / np.trace(comp) * (abs_b.min() / abs_b.max()) ** 2 >= 2.0 * rcond:
+    if DEFAULT_EPS_PD / np.trace(comp) * (abs_b.min() / abs_b.max()) ** 2 >= 2.0 * DEFAULT_RCOND:
         return True
     diag = np.diagonal(comp) / (b * b)     # bitwise the diagonal of A''
     ratio = diag.min() / diag.max()
-    if ratio < rcond / 2.0:
+    if ratio < DEFAULT_RCOND / 2.0:
         return (f"augmented matrix is ill-conditioned (min / max diagonal {ratio:.2e}, "
                 f"an upper bound on |lambda|min / |lambda|max, below rcond / 2)")
     return None
 
 
-def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
-                  eps_b: float = DEFAULT_EPS_B,
-                  rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair) -> np.ndarray:
     """Augmented matrix A'' = A^c / (b b'), an exact copy of the raw block at gamma = 0.
 
-    Otherwise raises DegenerateBVector on an |b| entry below eps_b, and
+    Otherwise raises DegenerateBVector on an |b| entry below DEFAULT_EPS_B, and
     SingularComplement, the allocator's cue to halve gamma, when A'' fails
     check_conditioning, whose ratio test gives Sigma and c * Sigma one verdict
     at every size: a 1x1 side fails only on a zero, NaN or subnormal A^c / b^2.
@@ -262,40 +257,37 @@ def augment_intra(sp: BlockSplit, side: str, gammas: GammaPair,
     """
     if gammas.zero:
         return _own_and_other(sp, side)[0].copy()
-    comp = schur_complement(sp, side, gammas.gamma_c, rcond=rcond)
-    b = b_vector(sp, side, gammas.gamma_b, rcond=rcond)
-    if np.abs(b).min() < eps_b:
-        raise DegenerateBVector(f"|b| entry below {eps_b} before pointwise division")
-    certificate = _intra_certificate(sp, side, gammas.gamma_c, comp, b, rcond)
+    comp = schur_complement(sp, side, gammas.gamma_c)
+    b = b_vector(sp, side, gammas.gamma_b)
+    if np.abs(b).min() < DEFAULT_EPS_B:
+        raise DegenerateBVector(f"|b| entry below {DEFAULT_EPS_B} before pointwise division")
+    certificate = _intra_certificate(sp, side, gammas.gamma_c, comp, b)
     intra = np.divide(comp, np.outer(b, b), out=comp)
-    _guard(intra, rcond, SingularComplement, certificate)
+    _guard(intra, SingularComplement, certificate)
     return intra
 
 
-def _shifted(own: np.ndarray, eps_pd: float) -> np.ndarray:
+def _shifted(own: np.ndarray) -> np.ndarray:
     """A copy of own - eps_pd I."""
     shifted = own.copy()
-    shifted.flat[:: shifted.shape[0] + 1] -= eps_pd
+    shifted.flat[:: shifted.shape[0] + 1] -= DEFAULT_EPS_PD
     return shifted
 
 
-def _factor(sp: BlockSplit, side: str, eps_pd: float) -> np.ndarray | None:
-    """L with L L' = own - eps_pd I, or None where that is not PD. The verdict stays
-    on the split as (side, "margin") -> (eps_pd, PD or not)."""
+def _factor(sp: BlockSplit, side: str) -> np.ndarray | None:
+    """L with L L' = own - eps_pd I, or None where that is not PD. Whether it is
+    PD stays on the split as (side, "margin")."""
     try:
-        factor = np.linalg.cholesky(_shifted(_own_and_other(sp, side)[0], eps_pd))
+        factor = np.linalg.cholesky(_shifted(_own_and_other(sp, side)[0]))
     except np.linalg.LinAlgError:
         factor = None
-    sp._solved[(side, "margin")] = (eps_pd, factor is not None)
+    sp._solved[(side, "margin")] = factor is not None
     return factor
 
 
-def max_feasible_gamma(sp: BlockSplit, side: str,
-                       eps_pd: float = DEFAULT_EPS_PD,
-                       eps_b: float = DEFAULT_EPS_B,
-                       rcond: float = DEFAULT_RCOND) -> float:
+def max_feasible_gamma(sp: BlockSplit, side: str) -> float:
     """Largest gamma in [0, 1] on the CAP_STEP grid keeping A - gamma S - eps_pd I
-    positive definite and b = 1 - gamma t >= eps_b, for 0 < eps_b < 1.
+    positive definite and b = 1 - gamma t >= eps_b.
 
     The limits are (1 - eps_b) / max t and, with L L' = A - eps_pd I, 1 / the
     top eigenvalue of the pencil L^-1 S L^-T; each binds only below 1. Every
@@ -306,26 +298,27 @@ def max_feasible_gamma(sp: BlockSplit, side: str,
     and leaves the factor on the split for the other side's cap to take. So no
     factor outlives both caps.
     """
-    eps_kept, factor = sp._solved.pop((side, "factor"), (None, None))
-    if eps_kept != eps_pd:
-        factor = _factor(sp, side, eps_pd)
+    if (side, "factor") in sp._solved:
+        factor = sp._solved.pop((side, "factor"))
+    else:
+        factor = _factor(sp, side)
     if factor is None:
         return 0.0
     other = _opposite(side)
     if (other, "margin") not in sp._solved:
-        sp._solved[(other, "factor")] = (eps_pd, _factor(sp, other, eps_pd))
+        sp._solved[(other, "factor")] = _factor(sp, other)
     try:
-        t, s = _product(sp, side, "t", rcond), _product(sp, side, "S", rcond)
+        t, s = _product(sp, side, "t"), _product(sp, side, "S")
     except SingularComplementBlock:
         return 0.0
-    blend = _shifted(_own_and_other(sp, side)[0], eps_pd)
+    blend = _shifted(_own_and_other(sp, side)[0])
     blend -= s
     try:
         np.linalg.cholesky(blend)
         top = 0.0
     except np.linalg.LinAlgError:
         top = np.linalg.eigvalsh(np.linalg.solve(factor, np.linalg.solve(factor, s).T))[-1]
-    limit = min((1.0 - eps_b) / max(t.max(), 1.0 - eps_b), 1.0 / max(top, 1.0))
+    limit = min((1.0 - DEFAULT_EPS_B) / max(t.max(), 1.0 - DEFAULT_EPS_B), 1.0 / max(top, 1.0))
     cap = math.floor(limit / CAP_STEP) * CAP_STEP
-    sp._solved[(side, "cap")] = (eps_pd, cap)
+    sp._solved[(side, "cap")] = cap
     return cap

@@ -75,14 +75,16 @@ def _spectrum(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return s, lam, q, q.T @ (1.0 / s)
 
 
-def _scan(values: np.ndarray, spectrum, xis: np.ndarray, rcond: float):
-    """Solve and score the ascending grid points `xis` in chunks of `_GRID_CHUNK` entries.
+def _scan(values: np.ndarray, spectrum, xis: np.ndarray):
+    """Solve and score the ascending grid points `xis` in chunks of `_GRID_CHUNK` entries,
+    skipping those that fail the `DEFAULT_RCOND` tests of `weak_shrink`.
 
     Returns (valid mask, clipped variances, whether each point's set of positive
     weights differs from the previous point's, index of the first minimum among
     the valid points or -1, its unclipped weights).
     """
     s, lam, q, u = spectrum
+    rcond = DEFAULT_RCOND
     valid = np.zeros(xis.size, dtype=bool)
     variances = np.full(xis.size, np.nan)
     turns = np.zeros(xis.size, dtype=bool)
@@ -121,8 +123,7 @@ def _scan(values: np.ndarray, spectrum, xis: np.ndarray, rcond: float):
     return valid, variances, turns, best, best_weights
 
 
-def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
-                rcond: float = DEFAULT_RCOND) -> ShrinkageResult:
+def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP) -> ShrinkageResult:
     """Grid-search xi in [0, 1]; ties broken toward smaller xi.
 
     At each xi the min-var portfolio of the shrunk matrix is clipped long-only
@@ -130,9 +131,9 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
     the correlation matrix R = S^-1 Sigma S^-1 = Q diag(lambda) Q', the shrunk
     matrix is S Q diag(1 - xi + xi * lambda) Q' S, so one eigendecomposition
     of R solves every grid point. A grid point is skipped and recorded when
-    the spectrum 1 - xi + xi * lambda has min|.| / max|.| below `rcond` (a
-    conditioning test on the correlation form, blind to the variances'
-    scale), when its x = shrunk^-1 1 has |1' x| <= rcond * sum|x| (a ratio
+    the spectrum 1 - xi + xi * lambda has min|.| / max|.| below `DEFAULT_RCOND`
+    (a conditioning test on the correlation form, blind to the variances'
+    scale), when its x = shrunk^-1 1 has |1' x| <= DEFAULT_RCOND * sum|x| (a ratio
     that reads no units either), or when it has no positive weight. The grid
     has round(1 / grid_step) equal steps, so a step of 0.3 searches thirds.
     It is solved and scored in chunks of `_GRID_CHUNK` entries, so memory is
@@ -143,7 +144,7 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
         raise XiOutOfRange(f"grid_step={grid_step!r} outside [MIN_GRID_STEP={MIN_GRID_STEP}, 1]")
     values = cov_values(cov)
     grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
-    valid, variances, _, best, weights = _scan(values, _spectrum(values), grid, rcond)
+    valid, variances, _, best, weights = _scan(values, _spectrum(values), grid)
     if best < 0:
         raise NoFeasibleXi("minimum-variance solve failed at every grid point")
     xi = float(grid[best])
@@ -160,8 +161,8 @@ def weak_shrink(cov, grid_step: float = DEFAULT_GRID_STEP,
 def _search_xi(values: np.ndarray) -> tuple[float, np.ndarray, float]:
     """`weak_shrink(values)`'s (xi, weights, clipped variance), searched coarse to fine.
 
-    For the allocator's recursion, on a trusted block at the default grid and
-    rcond. Every `_COARSE`-th grid point is scored first (51 points). Then one
+    For the allocator's recursion, on a trusted block at the default grid.
+    Every `_COARSE`-th grid point is scored first (51 points). Then one
     scan covers the points within two coarse steps of the coarse curve's
     lowest point, within one of its second-lowest local minimum, within one
     of xi = 0.98 (the last two coarse steps, where the spectrum
@@ -178,7 +179,7 @@ def _search_xi(values: np.ndarray) -> tuple[float, np.ndarray, float]:
     spectrum = _spectrum(values)
     grid = np.linspace(0.0, 1.0, int(round(1.0 / DEFAULT_GRID_STEP)) + 1)
     coarse = np.arange(0, grid.size, _COARSE)
-    valid, variances, turns, _, _ = _scan(values, spectrum, grid[coarse], DEFAULT_RCOND)
+    valid, variances, turns, _, _ = _scan(values, spectrum, grid[coarse])
     picked = np.arange(grid.size)
     if valid.any():
         curve = np.where(valid, variances, np.inf)
@@ -194,7 +195,7 @@ def _search_xi(values: np.ndarray) -> tuple[float, np.ndarray, float]:
         for step in np.flatnonzero(turns[1:] & (np.minimum(curve[:-1], curve[1:]) <= near)):
             window[coarse[step]:coarse[step + 1] + 1] = True
         picked = np.flatnonzero(window)
-    _, variances, _, best, weights = _scan(values, spectrum, grid[picked], DEFAULT_RCOND)
+    _, variances, _, best, weights = _scan(values, spectrum, grid[picked])
     if best < 0:
         raise NoFeasibleXi("minimum-variance solve failed at every grid point")
     return float(grid[picked[best]]), weights, float(variances[best])

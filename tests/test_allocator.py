@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import json
 import logging
 import math
@@ -26,18 +27,16 @@ from schur_alloc import (
     schur_complement,
     split,
 )
-from schur_alloc import allocator, covmat, fitness, portfolio, shrinkage
+from schur_alloc import _linalg, allocator, covmat, fitness, portfolio, shrinkage
 from schur_alloc.errors import (
     DimensionMismatch,
     InputError,
     NotPSD,
     NumericalError,
     SingularComplement,
-    XiOutOfRange,
     ZeroVariance,
 )
 from schur_alloc.seriation import Permutation, permute_matrix, permute_vector
-from schur_alloc.shrinkage import MIN_GRID_STEP
 from schur_alloc.sim import PROFILES, default_allocation
 
 from conftest import UNSTABLE_MINVAR, equicorrelated, random_pd
@@ -152,14 +151,16 @@ class TestConfig:
         with pytest.raises(InputError, match=f"^unknown AllocationConfig keys: {name}$"):
             AllocationConfig.from_dict({name: value})
 
-    @pytest.mark.parametrize("step", [0.99 * MIN_GRID_STEP, 1e-6])
-    def test_grid_step_below_minimum(self, step):
-        # a grid step is set only where weak_shrink is called directly or through the
-        # public fitness; both refuse a step below MIN_GRID_STEP
-        with pytest.raises(InputError, match="^unknown AllocationConfig keys: shrink_grid_step$"):
-            AllocationConfig.from_dict({"shrink_grid_step": step})
-        with pytest.raises(XiOutOfRange, match="^grid_step=.*MIN_GRID_STEP"):
-            fitness(equi3(), "weak_minvar_variance", shrink_grid_step=step)
+    def test_no_callable_takes_a_threshold(self):
+        # every guard reads its constant (DEFAULT_RCOND, DEFAULT_EPS_PD, DEFAULT_EPS_B)
+        # at one site, so no public function, class or conditioning helper takes one
+        exported = [value for name, value in vars(schur_alloc).items()
+                    if not name.startswith("_") and callable(value)]
+        checked = exported + [_linalg.check_conditioning, _linalg.checked_solve]
+        assert len(exported) > 25
+        for fn in checked:
+            names = set(inspect.signature(fn).parameters)
+            assert not names & {"rcond", "eps_pd", "eps_b", "shrink_grid_step"}, fn
 
     @pytest.mark.parametrize("gammas", [(0.6, 0.2), [0.6, 0.2], 0.6, [0.6], (0.6, None)])
     def test_gammas_coerced_once(self, gammas):
@@ -278,14 +279,33 @@ class TestAllocateFootprint:
         assert isinstance(info.value.__cause__, ZeroVariance)
         assert len(raised) == 1
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_one_asset_blocks_are_not_searched(self, monkeypatch, gamma):
+        # a 1x1 block's weak-shrinkage weights are [1.0] at every xi: its terminal
+        # hands them up, so the search runs only on blocks of two or more assets
+        sizes = []
+
+        def counted(values):
+            sizes.append(values.shape[0])
+            return search(values)
+
+        search = shrinkage._search_xi
+        for variance in (1e-300, 0.3, 1e300):
+            assert search(np.array([[variance]]))[1].tobytes() == np.ones(1).tobytes()
+        monkeypatch.setattr(allocator, "_search_xi", counted)
+        cfg = replace(default_allocation(), terminal_size=1).with_gamma(gamma)
+        report = allocate(desk_estimate(), cfg)
+        assert len(report.splits) == 39
+        assert 1 not in sizes and len(sizes) == 2 * 39 - 40
+
     def test_terminal_shrinkage_reaches_its_own_fitness(self, monkeypatch):
         # each child's nu, handed a terminal's shrunk weights or not, must equal the public
         # fitness of that very block: a result handed to the wrong side would differ
         recorded = []
 
-        def recording(values, kind, child_weights, handed=None, **thresholds):
-            nu = fit(values, kind, child_weights, handed, **thresholds)
-            recorded.append((values, child_weights, handed, thresholds, nu))
+        def recording(values, kind, child_weights, handed=None):
+            nu = fit(values, kind, child_weights, handed)
+            recorded.append((values, child_weights, handed, nu))
             return nu
 
         fit = allocator._fitness
@@ -295,10 +315,8 @@ class TestAllocateFootprint:
             for gamma in (0.0, 0.5, 1.0):
                 allocate(desk_estimate(trial), cfg.with_gamma(gamma))
         assert len(recorded) == 2 * 3 * 14
-        for values, child_weights, handed, thresholds, nu in recorded:
-            # the recursion runs fitness at its default thresholds, and hands every
-            # child the weights of its own search
-            assert thresholds == {}
+        for values, child_weights, handed, nu in recorded:
+            # the recursion hands every child the weights of its own search
             _, searched, _ = shrinkage._search_xi(values)
             assert handed.tobytes() == searched.tobytes()
             if 1 < values.shape[0] <= cfg.terminal_size:
@@ -450,6 +468,15 @@ class TestAllocateGoldenVectors:
             allocate(cov, AllocationConfig(gammas=1.0, adaptive_cap=False, terminal=terminal))
         assert isinstance(info.value, NumericalError)
         assert isinstance(info.value.__cause__, ZeroVariance)
+
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_negative_one_asset_variance_is_numerical(self, seed):
+        # T < n with the cap off at gamma 1: a 1x1 augmented block's variance is slightly
+        # negative (seed 0) or zero (seed 10), and so is its weak_minvar_variance nu
+        cov = np.cov(np.random.default_rng(seed).standard_normal((4, 6)), rowvar=False)
+        cfg = replace(default_allocation(), gammas=1.0, terminal_size=1, adaptive_cap=False)
+        with pytest.raises(NotPSD, match="inverse fitness is not positive"):
+            allocate(cov, cfg)
 
     @pytest.mark.parametrize("seed, terminal_size", [(7, 1), (0, 5)])
     def test_non_positive_fitness_is_numerical(self, seed, terminal_size):

@@ -200,6 +200,8 @@ class TestSimulate:
                      id="config13-shrink_grid_step=0 outside (0, 1]"),
         pytest.param({"allocation": {"shrink_grid_step": float("nan")}}, "unknown AllocationConfig keys: shrink_grid_step",
                      id="config14-shrink_grid_step=nan"),
+        # a fitness kind that is no longer offered
+        ({"allocation": {"fitness": "diag_sum_squares"}}, "fitness"),
     ])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config, named):
         path = tmp_path / "config.json"

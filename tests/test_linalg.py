@@ -7,16 +7,16 @@ from schur_alloc._linalg import DEFAULT_RCOND, check_conditioning, checked_solve
 from schur_alloc.errors import NumericalError, SingularCovariance
 
 
-def _reference_check_conditioning(matrix, rcond=DEFAULT_RCOND, exc=NumericalError):
+def _reference_check_conditioning(matrix, exc=NumericalError):
     """The SVD guard that the eigenvalue guard replaced, for n >= 2."""
     singular_values = np.linalg.svd(matrix, compute_uv=False)
-    if singular_values[0] <= 0.0 or singular_values[-1] / singular_values[0] < rcond:
+    if singular_values[0] <= 0.0 or singular_values[-1] / singular_values[0] < DEFAULT_RCOND:
         raise exc("matrix is singular or ill-conditioned")
 
 
-def verdict(guard, matrix, rcond=DEFAULT_RCOND) -> bool:
+def verdict(guard, matrix) -> bool:
     try:
-        guard(matrix, rcond, NumericalError)
+        guard(matrix, NumericalError)
     except NumericalError:
         return False
     return True

@@ -18,7 +18,7 @@ from schur_alloc import (
     schur_complement,
     split,
 )
-from schur_alloc._linalg import DEFAULT_RCOND, check_conditioning, checked_solve, symmetrize
+from schur_alloc._linalg import check_conditioning, checked_solve, symmetrize
 from schur_alloc.errors import (
     BadIndex,
     DegenerateBVector,
@@ -70,28 +70,28 @@ def double_inversion(sp, side, gammas, eps_b=1e-6):
     return symmetrize(checked_solve(product, eye, exc=SingularComplement))
 
 
-def _reference_feasible(sp, side, gamma, eps_pd=1e-8, eps_b=1e-6, rcond=DEFAULT_RCOND):
+def _reference_feasible(sp, side, gamma, eps_pd=1e-8, eps_b=1e-6):
     """The bisection's test: b >= eps_b, then the complement's eigenvalues above eps_pd."""
-    if b_vector(sp, side, gamma, rcond=rcond).min() < eps_b:
+    if b_vector(sp, side, gamma).min() < eps_b:
         return False
     try:
-        comp = schur_complement(sp, side, gamma, rcond=rcond)
+        comp = schur_complement(sp, side, gamma)
         return bool(np.linalg.eigvalsh(comp).min() > eps_pd)
     except np.linalg.LinAlgError:
         return False
 
 
-def _reference_max_feasible_gamma(sp, side, eps_pd=1e-8, eps_b=1e-6, rcond=DEFAULT_RCOND,
+def _reference_max_feasible_gamma(sp, side, eps_pd=1e-8, eps_b=1e-6,
                                   resolution=1e-6, max_iter=40):
     """The cap as a bisection over the affine complement and b-vector, as it was
     computed before the closed form; 0.0 at once on a singular complementary block."""
     try:
-        schur._product(sp, side, "t", rcond)
+        schur._product(sp, side, "t")
     except SingularComplementBlock:
         return 0.0
 
     def feasible(gamma):
-        return _reference_feasible(sp, side, gamma, eps_pd, eps_b, rcond)
+        return _reference_feasible(sp, side, gamma, eps_pd, eps_b)
 
     if feasible(1.0):
         return 1.0
@@ -307,15 +307,15 @@ class TestAugmentations:
         assert outcomes[False] >= {None, SingularComplement}
         assert None in outcomes[True]
 
-    @pytest.mark.parametrize("cov, k, gammas, eps_b", [
+    @pytest.mark.parametrize("cov, k, gammas", [
         # zero complement, b = 1: A'' is zero at any scale
-        ([[1.0, 1.0], [1.0, 1.0]], 1, GammaPair(1.0, 0.0), 1e-6),
-        # complement 0.5, b = 1e-7: A'' ~5e13
-        ([[1.0, 0.5], [0.5, 0.5]], 1, GammaPair(1.0, 1.0 - 1e-7), 1e-8),
+        ([[1.0, 1.0], [1.0, 1.0]], 1, GammaPair(1.0, 0.0)),
+        # complement 0.5, b ~1.5e-6, just above the b floor: A'' ~2.2e11
+        ([[1.0, 0.5], [0.5, 0.5]], 1, GammaPair(1.0, 1.0 - 1.5e-6)),
         # complement ~1e-13, b = 0.1: A'' ~1e-11
-        ([[0.81 + 1e-13, 0.9], [0.9, 1.0]], 1, GammaPair(1.0), 1e-6),
+        ([[0.81 + 1e-13, 0.9], [0.9, 1.0]], 1, GammaPair(1.0)),
     ])
-    def test_one_by_one_pivots(self, cov, k, gammas, eps_b):
+    def test_one_by_one_pivots(self, cov, k, gammas):
         # a 1x1 A'' fails only when zero, NaN or subnormal; a pivot's size is a unit
         # choice, so the split scaled by 4^10 yields exactly 4^10 times the same A''
         cov = np.array(cov)
@@ -324,12 +324,12 @@ class TestAugmentations:
         if comp[0, 0] == 0.0:
             for scale in (1.0, 4.0 ** 10):
                 with pytest.raises(SingularComplement):
-                    augment_intra(split(scale * cov, k), "A", gammas, eps_b=eps_b)
+                    augment_intra(split(scale * cov, k), "A", gammas)
             return
         b = b_vector(sp, "A", gammas.gamma_b)
-        intra = augment_intra(sp, "A", gammas, eps_b=eps_b)
+        intra = augment_intra(sp, "A", gammas)
         np.testing.assert_array_equal(intra, comp / (b * b)[:, None], strict=True)
-        scaled = augment_intra(split(4.0 ** 10 * cov, k), "A", gammas, eps_b=eps_b)
+        scaled = augment_intra(split(4.0 ** 10 * cov, k), "A", gammas)
         np.testing.assert_array_equal(scaled, 4.0 ** 10 * intra, strict=True)
 
 
@@ -394,7 +394,7 @@ class TestMaxFeasibleGamma:
         for side in ("A", "D"):
             cap = max_feasible_gamma(sp, side)
             try:
-                schur._product(sp, side, "t", DEFAULT_RCOND)
+                schur._product(sp, side, "t")
             except SingularComplementBlock:
                 assert cap == 0.0
                 continue
@@ -450,9 +450,9 @@ class TestMaxFeasibleGamma:
         certificates = []
         guard = schur._guard
 
-        def recorded_guard(matrix, rcond, exc, certificate):
+        def recorded_guard(matrix, exc, certificate):
             certificates.append(certificate)
-            return guard(matrix, rcond, exc, certificate)
+            return guard(matrix, exc, certificate)
 
         for name in ("cholesky", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
@@ -468,7 +468,7 @@ class TestMaxFeasibleGamma:
             for side in ("A", "D"):
                 max_feasible_gamma(sp, side)
             seen = dict(counts)
-            solved = [side for side in ("A", "D") if (side, "S", DEFAULT_RCOND) in sp._solved]
+            solved = [side for side in ("A", "D") if (side, "S") in sp._solved]
             factored = [side for side in ("A", "D") if shifted_is_pd(sp, side)]
             assert seen.get("cholesky", 0) == 2 + len(solved)
             assert "schur_complement" not in seen and "b_vector" not in seen
@@ -481,12 +481,12 @@ class TestMaxFeasibleGamma:
             blends_not_pd = 0
             for side in solved:
                 own = sp.a if side == "A" else sp.d
-                blend = own - 1e-8 * np.eye(len(own)) - schur._product(sp, side, "S",
-                                                                        DEFAULT_RCOND)
+                blend = own - 1e-8 * np.eye(len(own)) - schur._product(sp, side, "S")
                 blends_not_pd += not positive_definite(blend)
             assert seen.get("eigvalsh", 0) == blends_not_pd
             pencils += blends_not_pd
-            # no factor outlives both caps
+            # no factor outlives both caps, and no entry is keyed by a threshold
+            assert all(len(key) == 2 and key[0] in ("A", "D") for key in sp._solved)
             assert not any(key[1] == "factor" for key in sp._solved)
         assert pencils > 0 and certified > 0 and uncertified > 0
 
@@ -496,8 +496,8 @@ class TestMaxFeasibleGamma:
         x = np.random.default_rng(4).standard_normal((4, 5))
         sp = split(np.cov(x, rowvar=False), 2)
         cap = max_feasible_gamma(sp, "D")
-        t = schur._product(sp, "D", "t", DEFAULT_RCOND)
-        s = schur._product(sp, "D", "S", DEFAULT_RCOND)
+        t = schur._product(sp, "D", "t")
+        s = schur._product(sp, "D", "S")
         gamma_pd = 1.0 / np.linalg.eigvals(np.linalg.solve(sp.d - 1e-8 * np.eye(3), s)).real.max()
         assert (1.0 - 1e-6) / t.max() > 1.0 > gamma_pd
         assert cap == math.floor(gamma_pd / schur.CAP_STEP) * schur.CAP_STEP < 1.0
@@ -563,10 +563,10 @@ class TestSolvedOnce:
         def side_of(matrix):
             return "A" if matrix.shape[0] == 4 else "D"
 
-        def counting_guard(matrix, rcond, exc, certificate):
+        def counting_guard(matrix, exc, certificate):
             if np.shares_memory(matrix, sp.parent):
                 guarded[side_of(matrix)].append(certificate)
-            return guard(matrix, rcond, exc, certificate)
+            return guard(matrix, exc, certificate)
 
         def counting_check(matrix, *args):
             if np.shares_memory(matrix, sp.parent):
@@ -646,10 +646,10 @@ class TestCertificates:
         decided, disagreements = {}, []
         guard = schur._guard
 
-        def audited(matrix, rcond, exc, certificate):
+        def audited(matrix, exc, certificate):
             if certificate is not None:
                 try:
-                    check_conditioning(matrix, rcond, exc)
+                    check_conditioning(matrix, exc)
                     passes = True
                 except exc:
                     passes = False
@@ -657,7 +657,7 @@ class TestCertificates:
                 decided[kind] = decided.get(kind, 0) + 1
                 if passes != (certificate is True):
                     disagreements.append((kind, matrix.shape))
-            return guard(matrix, rcond, exc, certificate)
+            return guard(matrix, exc, certificate)
 
         monkeypatch.setattr(schur, "_guard", audited)
         for cov, config in audit_inputs():
@@ -676,9 +676,9 @@ class TestCertificates:
         certificates = []
         guard = schur._guard
 
-        def recorded(matrix, rcond, exc, certificate):
+        def recorded(matrix, exc, certificate):
             certificates.append(certificate)
-            return guard(matrix, rcond, exc, certificate)
+            return guard(matrix, exc, certificate)
 
         monkeypatch.setattr(schur, "_guard", recorded)
         allocate(factor_model_sample(60, 7), AllocationConfig(gammas=1.0, adaptive_cap=False))

@@ -355,9 +355,11 @@ class TestWeakShrink:
         assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("rcond", [DEFAULT_RCOND, 1e-3])
-    def test_spectrum_ends_match_dense_test(self, rcond):
+    def test_spectrum_ends_match_dense_test(self, monkeypatch, rcond):
         # a row's min|.| and max|.| from its end columns, and the full minimum only
-        # where the row changes sign, skip exactly the points the dense test skips
+        # where the row changes sign, skip exactly the points the dense test skips;
+        # _scan reads DEFAULT_RCOND at call time, so a coarser threshold is patched in
+        monkeypatch.setattr(shrinkage, "DEFAULT_RCOND", rcond)
         rng = np.random.default_rng(22)
         cases = [("pd", random_pd(rng, int(rng.integers(3, 30)), ridge=0.1)) for _ in range(15)]
         for _ in range(15):
@@ -368,19 +370,20 @@ class TestWeakShrink:
         moved = []
         for index, (kind, cov) in enumerate(cases):
             dense = _dense_weak_shrink(cov, rcond=rcond)
-            result = weak_shrink(cov, rcond=rcond)
+            result = weak_shrink(cov)
             np.testing.assert_array_equal(result.skipped, dense.skipped, strict=True)
             if result.xi != dense.xi:
                 moved.append((index, kind, dense.xi, result.xi))
         assert moved == []
 
-    def test_indefinite_input_changes_sign_over_a_band(self):
+    def test_indefinite_input_changes_sign_over_a_band(self, monkeypatch):
         # past 1 / (1 - lambda_min) every row changes sign and takes the full
-        # min|.|: some of those points are skipped and some solve
+        # min|.|: at a threshold of 1e-3 some of those points are skipped and some solve
+        monkeypatch.setattr(shrinkage, "DEFAULT_RCOND", 1e-3)
         cov = indefinite(np.random.default_rng(22), 12)
         s = np.sqrt(np.diag(cov))
         lam_min = np.linalg.eigvalsh(cov / np.outer(s, s))[0]
-        result = weak_shrink(cov, rcond=1e-3)
+        result = weak_shrink(cov)
         changes_sign = lambda xi: 1.0 - xi + xi * lam_min < 0.0
         assert lam_min < 0.0
         assert any(changes_sign(xi) for xi in result.skipped)
@@ -432,9 +435,9 @@ class TestSearchXi:
     def scanned_rows(monkeypatch) -> list[int]:
         rows = []
 
-        def counted(values, spectrum, xis, rcond):
+        def counted(values, spectrum, xis):
             rows.append(xis.size)
-            return scan(values, spectrum, xis, rcond)
+            return scan(values, spectrum, xis)
 
         scan = shrinkage._scan
         monkeypatch.setattr(shrinkage, "_scan", counted)
@@ -495,8 +498,8 @@ class TestSearchXi:
         # of each coarse step near the lowest whose set of positive weights changes
         scans = []
 
-        def recorded(values, spectrum, xis, rcond):
-            result = scan(values, spectrum, xis, rcond)
+        def recorded(values, spectrum, xis):
+            result = scan(values, spectrum, xis)
             scans.append((xis.size, result))
             return result
 
@@ -521,9 +524,9 @@ class TestSearchXi:
         values = ill_scaled(np.random.default_rng([71970, 17]), 17)
         spectrum = shrinkage._spectrum(values)
         xis = np.linspace(0.0, 1.0, 1001)[::20]
-        whole = shrinkage._scan(values, spectrum, xis, DEFAULT_RCOND)
+        whole = shrinkage._scan(values, spectrum, xis)
         monkeypatch.setattr(shrinkage, "_GRID_CHUNK", 3 * values.shape[0])
-        chunked = shrinkage._scan(values, spectrum, xis, DEFAULT_RCOND)
+        chunked = shrinkage._scan(values, spectrum, xis)
         assert whole[2].sum() > 1
         np.testing.assert_array_equal(chunked[0], whole[0])
         np.testing.assert_array_equal(chunked[2], whole[2])
